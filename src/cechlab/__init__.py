@@ -63,7 +63,6 @@ from .moduli import (
     first_neighborhood_dim,
     generic_moduli_dim,
     splitting_type,
-    splitting_type_of_bundle,
 )
 from .deform import (
     AffinenessReport,

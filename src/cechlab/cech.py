@@ -67,6 +67,11 @@ class DegreeBox:
             raise ValueError("base_lo must be <= base_hi")
         if any(f < 0 for f in self.fiber_max):
             raise ValueError("fiber_max entries must be >= 0")
+        # a window that cannot grow would certify itself as "stable"
+        if self.escalation_step < 1:
+            raise ValueError("escalation_step must be >= 1")
+        if self.stability_rounds < 1:
+            raise ValueError("stability_rounds must be >= 1")
 
     @staticmethod
     def make(base_lo: int, base_hi: int, fiber_max, fibers: int, **kw) -> "DegreeBox":
@@ -218,6 +223,29 @@ def _poly_vec(rank: int, polys: Dict[int, LaurentPoly]) -> Vec:
         for exp, coeff in poly.terms.items():
             out[(c, exp)] = out.get((c, exp), Fraction(0)) + coeff
     return {k: v for k, v in out.items() if v != 0}
+
+
+def _split(vec: Vec, part_of) -> Dict[Tuple[int, ...], Vec]:
+    """Group a vector's coordinates by slice or bucket."""
+    parts: Dict[Tuple[int, ...], Vec] = {}
+    for key, coeff in vec.items():
+        parts.setdefault(part_of(key), {})[key] = coeff
+    return parts
+
+
+def _decompose_parts(parts: Dict[Tuple[int, ...], Vec], span_of) -> Optional[Dict]:
+    """Decompose each part in its own span, in sorted part order; the summed
+    tag coefficients, or None at the first part that has no span or is not
+    in it."""
+    coeffs: Dict = {}
+    for part_key, part in sorted(parts.items()):
+        span = span_of(part_key)
+        dec = span.decompose(part) if span is not None else None
+        if dec is None:
+            return None
+        for tag, c in dec.items():
+            coeffs[tag] = coeffs.get(tag, Fraction(0)) + c
+    return coeffs
 
 
 def validate_numeric(space: TwoChartSpace):
@@ -632,8 +660,19 @@ class CechEngine:
         self.bundle = bundle
         self.exact = _ExactModel.build(bundle)
         self.box_model = None if self.exact else _BoxModel(bundle)
+        # Pristine per-bucket box spans by window extents (base_lo, base_hi,
+        # fiber_max).  Decompose never mutates them.  A window is kept only
+        # once it has decomposed a class: an escalation that never answers
+        # would otherwise pin every window it passed through.
+        self._window_spans: Dict[Tuple, Dict[Tuple[int, ...], IncrementalSpan]] = {}
 
     # ---- exact mode ----
+
+    def _exact_slice_span(self, chi: Tuple[int, ...]) -> IncrementalSpan:
+        span = IncrementalSpan()
+        for tag, vec in self.exact.slice_generators(chi):
+            span.insert(vec, tag)
+        return span
 
     def _exact_basis_for_slices(self, slices, candidates_by_slice):
         """Greedy monomial basis per character slice; returns basis keys and,
@@ -643,9 +682,7 @@ class CechEngine:
         for chi in slices:
             members = self.exact.slice_members(chi)
             assert len(members) <= self.bundle.rank  # finiteness of the slice
-            span = IncrementalSpan()
-            for tag, vec in self.exact.slice_generators(chi):
-                span.insert(vec, tag)
+            span = self._exact_slice_span(chi)
             for key in sorted(candidates_by_slice[chi]):
                 if span.insert({key: Fraction(1)}, ("B", key)):
                     basis.append(key)
@@ -662,21 +699,25 @@ class CechEngine:
 
     def _exact_decompose(self, vec: Vec):
         """Decompose into coboundary tags; None if some slice obstructs."""
-        model = self.exact
-        by_slice: Dict[Tuple[int, ...], Vec] = {}
-        for key, coeff in vec.items():
-            by_slice.setdefault(model.slice_of(key), {})[key] = coeff
-        coeffs: Dict = {}
-        for chi, part in sorted(by_slice.items()):
-            span = IncrementalSpan()
-            for tag, gvec in model.slice_generators(chi):
-                span.insert(gvec, tag)
-            dec = span.decompose(part)
-            if dec is None:
-                return None
-            for tag, c in dec.items():
-                coeffs[tag] = coeffs.get(tag, Fraction(0)) + c
-        return coeffs
+        return _decompose_parts(_split(vec, self.exact.slice_of), self._exact_slice_span)
+
+    def split_independent(self, keys: Sequence[Key]) -> Tuple[List[Key], List[Key]]:
+        """Exact tier: split monomial classes, given as (0-based component,
+        exponent) keys, into those independent modulo coboundaries and the
+        dependent rest.
+
+        Greedy per character slice: slices in sorted order, keys of a slice
+        in sorted order, and a key is independent when it enlarges the span
+        of the slice's coboundaries and the keys before it.
+        """
+        if self.exact is None:
+            raise CechError("independence of stated classes needs the exact tier")
+        by_slice: Dict[Tuple[int, ...], List[Key]] = {}
+        for key in keys:
+            by_slice.setdefault(self.exact.slice_of(key), []).append(key)
+        independent, _ = self._exact_basis_for_slices(sorted(by_slice), by_slice)
+        kept = set(independent)
+        return independent, [key for key in keys if key not in kept]
 
     # ---- box mode ----
 
@@ -719,9 +760,14 @@ class CechEngine:
                 basis.append(key)
         return basis, buckets
 
-    def _box_h1(self, box: DegreeBox) -> H1Result:
+    def _box_stable_basis(self, box: DegreeBox):
+        """Escalate until the in-box basis repeats ``stability_rounds`` times.
+
+        Returns the basis, the final window and that window's buckets, which
+        carry a ("B", key) row for every window monomial inside the box.
+        """
         window = box
-        basis, _ = self._box_basis(window, box)
+        basis, buckets = self._box_basis(window, box)
         rounds = 0
         escalations = 0
         while rounds < box.stability_rounds:
@@ -731,29 +777,28 @@ class CechEngine:
                 raise NonFiniteSlice(
                     "window basis did not stabilize within the escalation budget"
                 )
-            new_basis, _ = self._box_basis(window, box)
+            new_basis, buckets = self._box_basis(window, box)
             if new_basis == basis:
                 rounds += 1
             else:
                 basis = new_basis
                 rounds = 0
+        return basis, window, buckets
+
+    def _box_h1(self, box: DegreeBox) -> H1Result:
+        basis, window, _ = self._box_stable_basis(box)
         cert = StableInBox(window, box.stability_rounds)
         return _make_h1_result(self.bundle, sorted(basis), cert, box)
 
     def _box_decompose(self, vec: Vec, box: DegreeBox):
-        buckets, _ = self._box_spans(box)
-        bm = self.box_model
-        by_bucket: Dict[Tuple[int, ...], Vec] = {}
-        for key, coeff in vec.items():
-            by_bucket.setdefault(bm.bucket_of(key), {})[key] = coeff
-        coeffs: Dict = {}
-        for bk, part in sorted(by_bucket.items()):
-            span = buckets.get(bk)
-            dec = span.decompose(part) if span is not None else None
-            if dec is None:
-                return None
-            for tag, c in dec.items():
-                coeffs[tag] = coeffs.get(tag, Fraction(0)) + c
+        extents = (box.base_lo, box.base_hi, box.fiber_max)
+        buckets = self._window_spans.get(extents)
+        fresh = buckets is None
+        if fresh:
+            buckets, _ = self._box_spans(box)
+        coeffs = _decompose_parts(_split(vec, self.box_model.bucket_of), buckets.get)
+        if fresh and coeffs is not None:
+            self._window_spans[extents] = buckets
         return coeffs
 
     # ---- public operations ----
@@ -803,36 +848,14 @@ class CechEngine:
                 if key not in candidates[chi]:
                     candidates[chi].append(key)
             _, spans = self._exact_basis_for_slices(sorted(candidates), candidates)
+            parts = _split(vec, self.exact.slice_of)
             cert = Exact()
-            coeffs: Dict = {}
-            by_slice: Dict[Tuple[int, ...], Vec] = {}
-            for key, coeff in vec.items():
-                by_slice.setdefault(self.exact.slice_of(key), {})[key] = coeff
-            for chi, part in sorted(by_slice.items()):
-                dec = spans[chi].decompose(part)
-                assert dec is not None  # candidates include the class support
-                for tag, c in dec.items():
-                    coeffs[tag] = coeffs.get(tag, Fraction(0)) + c
         else:
-            h1res = self._box_h1(box)
-            window = h1res.certification.box
-            buckets, monos = self._box_spans(window)
-            bm = self.box_model
-            for key in monos:
-                if not box.contains_exp(key[1]):
-                    continue
-                span = buckets.setdefault(bm.bucket_of(key), IncrementalSpan())
-                span.insert({key: Fraction(1)}, ("B", key))
-            coeffs = {}
-            by_bucket: Dict[Tuple[int, ...], Vec] = {}
-            for key, coeff in vec.items():
-                by_bucket.setdefault(bm.bucket_of(key), {})[key] = coeff
-            for bk, part in sorted(by_bucket.items()):
-                dec = buckets[bk].decompose(part)
-                assert dec is not None
-                for tag, c in dec.items():
-                    coeffs[tag] = coeffs.get(tag, Fraction(0)) + c
-            cert = h1res.certification
+            _, window, spans = self._box_stable_basis(box)
+            parts = _split(vec, self.box_model.bucket_of)
+            cert = StableInBox(window, box.stability_rounds)
+        coeffs = _decompose_parts(parts, spans.get)
+        assert coeffs is not None  # the spans carry a B row for every class key
         rep_vec: Vec = {}
         wit_coeffs: Dict = {}
         for tag, c in coeffs.items():

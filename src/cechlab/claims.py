@@ -140,18 +140,7 @@ def claim_w3_tangent_window() -> ClaimRecord:
     ]
     # sigma_1 and sigma_2 are the (l, i, j) = (-1, 0, 0) and (-2, 0, 0) entries
     assert (2, (-1, 0, 0)) in window and (2, (-2, 0, 0)) in window
-    slices = {}
-    for comp, exp in window:
-        chi = engine.exact.slice_of((comp - 1, exp))
-        slices.setdefault(chi, []).append((comp - 1, exp))
-    independent = 0
-    for chi, keys in sorted(slices.items()):
-        span = cech.IncrementalSpan()
-        for tag, vec in engine.exact.slice_generators(chi):
-            span.insert(vec, tag)
-        for key in sorted(keys):
-            if span.insert({key: Fraction(1)}, ("B", key)):
-                independent += 1
+    independent = len(engine.split_independent([(c - 1, e) for c, e in window])[0])
     res = engine.h1(box)
     rec.artifacts = _h1_artifacts(res)
     rec.artifacts["windowClassCount"] = len(window)
@@ -187,18 +176,7 @@ def claim_zminus1_classes() -> ClaimRecord:
     box = DegreeBox.make(-12, -1, 8, 1)
     engine = CechEngine(bundle)
     stated = [(1, (l, i)) for i in range(1, 9) for l in (-2, -1)]
-    slices = {}
-    for comp, exp in stated:
-        chi = engine.exact.slice_of((comp - 1, exp))
-        slices.setdefault(chi, []).append((comp - 1, exp))
-    independent = 0
-    for chi, keys in sorted(slices.items()):
-        span = cech.IncrementalSpan()
-        for tag, vec in engine.exact.slice_generators(chi):
-            span.insert(vec, tag)
-        for key in sorted(keys):
-            if span.insert({key: Fraction(1)}, ("B", key)):
-                independent += 1
+    independent = len(engine.split_independent([(c - 1, e) for c, e in stated])[0])
     res = engine.h1(box)
     rec.artifacts = _h1_artifacts(res)
     got = set(res.generator_keys())
@@ -294,21 +272,7 @@ def claim_w2_end_infinite() -> ClaimRecord:
             stated.append((flat_index(3, 2, 1), (-i, 0, m)))
         stated.append((flat_index(3, 2, 3), (-1, 0, m)))
         stated.append((flat_index(3, 3, 1), (-1, 0, m)))
-    slices = {}
-    for comp, exp in stated:
-        chi = engine.exact.slice_of((comp - 1, exp))
-        slices.setdefault(chi, []).append((comp - 1, exp))
-    independent = []
-    trivial = []
-    for chi, keys in sorted(slices.items()):
-        span = cech.IncrementalSpan()
-        for tag, vec in engine.exact.slice_generators(chi):
-            span.insert(vec, tag)
-        for key in sorted(keys):
-            if span.insert({key: Fraction(1)}, ("B", key)):
-                independent.append(key)
-            else:
-                trivial.append(key)
+    independent, trivial = engine.split_independent([(c - 1, e) for c, e in stated])
     box = DegreeBox.make(-4, -1, (1, 5), 2)
     res = engine.h1(box)
     by_u2: Dict[int, int] = {}

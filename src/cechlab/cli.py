@@ -212,14 +212,17 @@ def _split_tuple(text: str) -> List[str]:
 
 
 def _box_from_args(args, space: TwoChartSpace) -> DegreeBox:
-    return DegreeBox.make(
-        args.l_lo,
-        args.l_hi,
-        args.fiber_max,
-        space.fiber_count,
-        escalation_step=args.escalation_step,
-        stability_rounds=args.stability_rounds,
-    )
+    try:
+        return DegreeBox.make(
+            args.l_lo,
+            args.l_hi,
+            args.fiber_max,
+            space.fiber_count,
+            escalation_step=args.escalation_step,
+            stability_rounds=args.stability_rounds,
+        )
+    except ValueError as exc:
+        raise UsageError(f"bad degree box: {exc}") from None
 
 
 def _emit(payload: Dict, args) -> None:

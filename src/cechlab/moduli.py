@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .bundles import Matrix, TransitionBundle, mat_mul, restrict_to_line
+from .bundles import Matrix, mat_mul
 from .cech import CechClass, CechEngine, DegreeBox, make_class
 from .bundles import line_bundle
 from .linalg import QMatrix, nullspace
@@ -145,10 +145,6 @@ def splitting_type(matrix: Matrix, with_witness: bool = False):
         _as_zmatrix(G), tuple(degs[j] - n_shift for j in range(r)), _as_zmatrix(Q)
     )
     return result, fact
-
-
-def splitting_type_of_bundle(bundle: TransitionBundle) -> SplittingType:
-    return splitting_type(restrict_to_line(bundle))
 
 
 # -- extension verdicts -------------------------------------------------------

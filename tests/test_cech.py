@@ -12,6 +12,9 @@ from cechlab.cech import (
     SymbolicParameterError,
     WitnessFound,
     _BoxModel,
+    _class_to_vec,
+    _vec_to_class,
+    _witness_from_tags,
     coboundary_generators,
     h1,
     is_coboundary,
@@ -38,6 +41,14 @@ def _deformed(family, k, t1=Fraction(1)):
     else:
         cocycles = [(zero, z ** (-k + 1))]
     return build_family(base, cocycles, [t1]).perturbed
+
+
+def _box_tier(bundle):
+    """An engine forced onto the windowed path, also for monomial models."""
+    eng = CechEngine(bundle)
+    eng.exact = None
+    eng.box_model = _BoxModel(bundle)
+    return eng
 
 
 # -- coboundary generators -----------------------------------------------------
@@ -133,10 +144,7 @@ def test_exact_and_box_modes_agree_on_monomial_models():
     bundle = line_bundle(make_standard_space("Z", -1), -2)
     box = DegreeBox.make(-5, 1, 3, 1)
     exact_res = h1(bundle, box)
-    eng = CechEngine(bundle)
-    eng.exact = None
-    eng.box_model = _BoxModel(bundle)
-    box_res = eng.h1(box)
+    box_res = _box_tier(bundle).h1(box)
     assert box_res.generator_keys() == exact_res.generator_keys()
     assert isinstance(box_res.certification, StableInBox)
 
@@ -318,6 +326,137 @@ def test_reduce_in_box_mode_on_deformed_space():
     assert res.representative.is_zero()  # deformed Z_2 has no obstructions here
     assert verify_witness(bundle, cls, res.witness)
     assert isinstance(res.certification, StableInBox)
+
+
+# -- span reuse and reduce ------------------------------------------------------
+
+
+def _count_span_builds(monkeypatch):
+    builds = []
+    real = CechEngine._box_spans
+
+    def counting(self, box):
+        builds.append((box.base_lo, box.base_hi, box.fiber_max))
+        return real(self, box)
+
+    monkeypatch.setattr(CechEngine, "_box_spans", counting)
+    return builds
+
+
+def test_shared_engine_answers_like_fresh_engines():
+    # the Affine-Zk-deformed probe classes for O(-1)
+    bundle = line_bundle(_deformed("Z", 2), -1)
+    box = DegreeBox.make(-6, 2, 6, 1)
+    shared = CechEngine(bundle)
+    for l in range(box.base_lo, 0):
+        for i in range(box.fiber_max[0] + 1):
+            cls = monomial_class(bundle, 1, (l, i))
+            ok, cert = shared.is_coboundary(cls, box)
+            ok_fresh, cert_fresh = CechEngine(bundle).is_coboundary(cls, box)
+            assert ok == ok_fresh
+            assert cert.as_dict() == cert_fresh.as_dict()
+
+
+def test_window_spans_built_once_when_they_answer(monkeypatch):
+    builds = _count_span_builds(monkeypatch)
+    bundle = line_bundle(_deformed("Z", 2), -2)
+    box = DegreeBox.make(-6, 2, 6, 1)
+    engine = CechEngine(bundle)
+    cls = monomial_class(bundle, 1, (-1, 0))
+    for _ in range(3):
+        ok, cert = engine.is_coboundary(cls, box)
+        assert ok and verify_witness(bundle, cls, cert)
+    assert builds == [(-6, 2, (6,))]
+    # a window that never answers is dropped, so the query rebuilds it
+    builds.clear()
+    bundle = line_bundle(_deformed("W", 2), -4)
+    box = DegreeBox.make(-8, 8, 6, 2)
+    engine = CechEngine(bundle)
+    cls = monomial_class(bundle, 1, (-1, 0, 0))
+    for _ in range(2):
+        ok, cert = engine.is_coboundary(cls, box)
+        assert not ok and isinstance(cert, StableInBox)
+    windows = [(-8, 8, (6, 6)), (-12, 12, (10, 10)), (-16, 16, (14, 14))]
+    assert builds == windows * 2
+
+
+def test_box_reduce_on_used_engine_matches_fresh_engine():
+    z2 = _deformed("Z", 2)
+    ring = z2.uring
+    z = LaurentPoly.var(ring, 0)
+    u = LaurentPoly.var(ring, 1)
+    zm1 = make_standard_space("Z", -1)
+    zr = zm1.uring
+    cases = [
+        (CechEngine, line_bundle(z2, -2), DegreeBox.make(-5, 2, 4, 1), [z ** -1 + z ** -2 * u]),
+        (
+            _box_tier,
+            line_bundle(zm1, -2),
+            DegreeBox.make(-5, 1, 3, 1),
+            [LaurentPoly.var(zr, 0, -2) * exp_trunc(LaurentPoly.var(zr, 1), 3)],
+        ),
+    ]
+    for make_engine, bundle, box, comps in cases:
+        cls = make_class(bundle, comps)
+        used = make_engine(bundle)
+        used.h1(box)
+        used.is_coboundary(cls, box)
+        first = used.reduce(cls, box)
+        again = used.reduce(cls, box)
+        fresh = make_engine(bundle).reduce(cls, box)
+        assert isinstance(fresh.certification, StableInBox)
+        for res in (first, again):
+            assert res.representative.components == fresh.representative.components
+            assert res.witness.as_dict() == fresh.witness.as_dict()
+            assert res.certification == fresh.certification
+        # class = representative + alpha + Minv * (beta o forward)
+        alpha = tuple(
+            a + r for a, r in zip(fresh.witness.alpha, fresh.representative.components)
+        )
+        assert verify_witness(bundle, cls, WitnessFound(alpha, fresh.witness.beta))
+    assert not fresh.representative.is_zero()  # the last case keeps H1 classes
+
+
+def _full_window_reduce(engine, spans, vec):
+    """Reference: decompose in the spans of every slice of the window."""
+    parts = {}
+    for key, coeff in vec.items():
+        parts.setdefault(engine.exact.slice_of(key), {})[key] = coeff
+    rep, wit = {}, {}
+    for chi, part in sorted(parts.items()):
+        for tag, c in spans[chi].decompose(part).items():
+            if tag[0] == "B":
+                rep[tag[1]] = rep.get(tag[1], Fraction(0)) + c
+            else:
+                wit[tag] = wit.get(tag, Fraction(0)) + c
+    return {k: v for k, v in rep.items() if v != 0}, _witness_from_tags(engine.bundle, wit)
+
+
+def test_exact_reduce_matches_full_window_reference():
+    cases = [
+        (line_bundle(make_standard_space("Z", -1), -2), -6, 1, 3),
+        (line_bundle(make_standard_space("Z", 2), -3), -6, 1, 3),
+        (line_bundle(make_standard_space("W", 2), -4), -5, 1, 2),
+        (tangent_bundle(make_standard_space("W", 3)), -5, 1, 2),
+        (end_bundle(tangent_bundle(make_standard_space("W", 2))), -3, 0, 1),
+    ]
+    for bundle, lo, hi, fm in cases:
+        box = DegreeBox.make(lo, hi, fm, bundle.space.fiber_count)
+        engine = CechEngine(bundle)
+        monos = _BoxModel(bundle).window_monomials(box)
+        candidates = {}
+        for key in monos:
+            candidates.setdefault(engine.exact.slice_of(key), []).append(key)
+        _, spans = engine._exact_basis_for_slices(sorted(candidates), candidates)
+        # every window monomial alone, then all of them at once
+        vecs = [{key: Fraction(1)} for key in monos]
+        vecs.append({key: Fraction(n + 1, 3) for n, key in enumerate(monos)})
+        for vec in vecs:
+            res = engine.reduce(_vec_to_class(bundle, vec), box)
+            rep, witness = _full_window_reduce(engine, spans, vec)
+            assert _class_to_vec(res.representative) == rep, (bundle.name, vec)
+            assert res.witness.as_dict() == witness.as_dict()
+            assert isinstance(res.certification, Exact)
 
 
 def test_end_bundle_exact_mode_and_trivial_family():

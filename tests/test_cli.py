@@ -1,4 +1,8 @@
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 from cechlab.cli import main, load_space_file, parse_space
 
@@ -121,6 +125,37 @@ def test_usage_errors_exit_2(capsys):
         "--l-lo", "-4", "--l-hi", "2", "--fiber-max", "3",
     )
     assert code == 2 and "outside the degree box" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a box that cannot grow would certify its own window as stable
+        'h1 W2@t1=1 --bundle O(-4) --l-lo -3 --l-hi 1 --fiber-max 2 --escalation-step 0',
+        'coboundary W2@t1=1 --bundle O(-4) --cocycle z^-1 --stability-rounds 0',
+        'h1 W2 --bundle tangent --fiber-max -1',
+        'h1 W2 --bundle tangent --l-lo 2 --l-hi 1',
+    ],
+)
+def test_bad_degree_box_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *shlex.split(argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_cli_examples_exit_0(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 10 and all(line.startswith("cechlab ") for line in lines)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (line, err)
 
 
 def test_space_file(tmp_path, capsys):
