@@ -12,6 +12,15 @@ and beta holomorphic on V.  The engine supports two certification tiers:
 * StableInBox: truncated windows with escalation; "is a coboundary" answers
   always come with an explicit witness (exact by construction), "is not"
   answers are stable under the configured number of window enlargements.
+
+Both tiers run on one graded elimination core.  Component offsets come from
+one solver (``_solve_offsets``) over the relations D[c] - D'[c'] = weight,
+with the full exponent vector as weight on the exact tier and one scalar
+weight per conserved grading on the box tier.  A monomial's part is then its
+torus character (exact) or its grading bucket (box); coboundaries never mix
+parts, so every part is eliminated on its own: ``_greedy_basis`` finds the H1
+basis and ``_decompose_parts`` the witnesses.  The tiers differ only in the
+span of a part: a closed-form finite slice, or all generators of a window.
 """
 
 from __future__ import annotations
@@ -19,11 +28,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bundles import TransitionBundle
 from .linalg import IncrementalSpan, QMatrix, solve, NoSolution
-from .ring import LaurentPoly
+from .ring import InputError, LaurentPoly
 from .spaces import TwoChartSpace
 
 
@@ -43,12 +53,16 @@ class SymbolicParameterError(CechError):
     """Cohomology requires numeric deformation parameters."""
 
 
-class BoxError(CechError):
+class BoxError(CechError, InputError):
     """Class support escapes the degree box."""
 
 
 def _max_cells() -> int:
-    return int(os.environ.get("CECH_MAX_CELLS", "4000000"))
+    raw = os.environ.get("CECH_MAX_CELLS", "4000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"CECH_MAX_CELLS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,82 @@ def _decompose_parts(parts: Dict[Tuple[int, ...], Vec], span_of) -> Optional[Dic
     return coeffs
 
 
+def _greedy_basis(keys: Sequence[Key], part_of, span_of):
+    """Greedy monomial basis modulo coboundaries.
+
+    Parts in sorted order, the keys of a part in sorted order; a key joins
+    the basis when its ("B", key) row enlarges the span ``span_of(part)``.
+    Returns the basis and, per part met, its span with the B rows inserted.
+    """
+    by_part: Dict[Tuple[int, ...], List[Key]] = {}
+    for key in keys:
+        by_part.setdefault(part_of(key), []).append(key)
+    basis: List[Key] = []
+    spans: Dict[Tuple[int, ...], IncrementalSpan] = {}
+    for part in sorted(by_part):
+        span = spans[part] = span_of(part)
+        for key in sorted(by_part[part]):
+            if span.insert({key: Fraction(1)}, ("B", key)):
+                basis.append(key)
+    return basis, spans
+
+
+def _transition_relations(bundle: TransitionBundle, weight):
+    """Relations (c, c', w) meaning D[c] - D'[c'] = w, one per nonzero entry:
+    w = weight(M[c'][c]) and w = -weight(Minv[c][c']).  ``weight`` maps an
+    entry to a tuple, or to None when the entry is not homogeneous; then there
+    are no relations and the result is None."""
+    relations = []
+    for cp in range(bundle.rank):
+        for c in range(bundle.rank):
+            for entry, sign in ((bundle.M[cp][c], 1), (bundle.Minv[c][cp], -1)):
+                if entry.is_zero():
+                    continue
+                w = weight(entry)
+                if w is None:
+                    return None
+                relations.append((c, cp, tuple(sign * x for x in w)))
+    return relations
+
+
+def _solve_offsets(rank: int, dim: int, relations):
+    """Component offsets (D, D') with D[c] - D'[c'] = w for every relation
+    (c, c', w), weights being ``dim``-tuples, or None when they conflict.
+
+    Each connected group of components is fixed by giving its first node
+    (U components before V components) the offset zero.
+    """
+    adj: Dict[Tuple[str, int], List] = {}
+    for c, cp, w in relations:
+        adj.setdefault(("U", c), []).append((("V", cp), tuple(-x for x in w)))
+        adj.setdefault(("V", cp), []).append((("U", c), w))
+    assign: Dict[Tuple[str, int], Tuple[int, ...]] = {}
+    for start in [("U", c) for c in range(rank)] + [("V", c) for c in range(rank)]:
+        if start in assign:
+            continue
+        assign[start] = (0,) * dim
+        queue = [start]
+        while queue:
+            node = queue.pop()
+            for other, step in adj.get(node, []):
+                val = tuple(a + b for a, b in zip(assign[node], step))
+                if other not in assign:
+                    assign[other] = val
+                    queue.append(other)
+                elif assign[other] != val:
+                    return None
+    return (
+        [assign[("U", c)] for c in range(rank)],
+        [assign[("V", c)] for c in range(rank)],
+    )
+
+
+def window_monomials(box: DegreeBox, rank: int) -> List[Key]:
+    """All cochain monomials inside the window, in sorted order."""
+    ranges = [range(box.base_lo, box.base_hi + 1)] + [range(fm + 1) for fm in box.fiber_max]
+    return [(c, exp) for c in range(rank) for exp in product(*ranges)]
+
+
 def validate_numeric(space: TwoChartSpace):
     if not space.params_numeric:
         raise SymbolicParameterError(
@@ -256,6 +346,12 @@ def validate_numeric(space: TwoChartSpace):
 
 
 # -- exact graded model ------------------------------------------------------
+
+
+def _term_weight(poly: LaurentPoly, nv: int) -> Tuple[int, ...]:
+    """Base and fiber exponents of a single-term polynomial."""
+    (exp,) = list(poly.terms)
+    return exp[:nv]
 
 
 class _ExactModel:
@@ -267,88 +363,34 @@ class _ExactModel:
     homogeneous and each character slice holds at most rank-many monomials.
     """
 
-    def __init__(self, bundle: TransitionBundle):
+    def __init__(self, bundle: TransitionBundle, offsets, g_inv: QMatrix):
         self.bundle = bundle
-        space = bundle.space
-        self.nv = 1 + space.fiber_count
+        self.nv = 1 + bundle.space.fiber_count
         self.r = bundle.rank
-        fwd = space.transition.forward
-        self.v_weights = [self._term_weight(p) for p in fwd]
-        # fiber part of the v-image weights must be unimodular to invert the
-        # character map
-        f = space.fiber_count
-        g_rows = [
-            [Fraction(self.v_weights[1 + i][1 + j]) for i in range(f)] for j in range(f)
-        ]
-        self.G = QMatrix(g_rows) if f else None
-        self.offsets_u: List[Tuple[int, ...]] = [None] * self.r
-        self.offsets_v: List[Tuple[int, ...]] = [None] * self.r
-        self._solve_offsets()
-
-    def _term_weight(self, poly: LaurentPoly) -> Tuple[int, ...]:
-        (exp,) = list(poly.terms)
-        return exp[: self.nv]
-
-    def _solve_offsets(self):
-        M, Minv = self.bundle.M, self.bundle.Minv
-        edges: Dict[Tuple[str, int], List] = {}
-        for cp in range(self.r):
-            for c in range(self.r):
-                if not M[cp][c].is_zero():
-                    w = self._term_weight(M[cp][c])
-                    edges.setdefault(("U", c), []).append(("V", cp, w))
-                    edges.setdefault(("V", cp), []).append(("U", c, w))
-                if not Minv[c][cp].is_zero():
-                    w = self._term_weight(Minv[c][cp])
-                    edges.setdefault(("U", c), []).append(("V", cp, tuple(-x for x in w)))
-                    edges.setdefault(("V", cp), []).append(("U", c, tuple(-x for x in w)))
-        # BFS assignment: weight(M[c'][c]) = D[c] - D'[c'], so along an
-        # ("U", c) -> ("V", c') edge with weight w we set D'[c'] = D[c] - w.
-        assign: Dict[Tuple[str, int], Tuple[int, ...]] = {}
-        for start in [("U", c) for c in range(self.r)] + [("V", c) for c in range(self.r)]:
-            if start in assign or start not in edges:
-                if start not in assign:
-                    assign[start] = (0,) * self.nv
-                continue
-            assign[start] = (0,) * self.nv
-            queue = [start]
-            while queue:
-                node = queue.pop()
-                side, idx = node
-                for other_side, other_idx, w in edges.get(node, []):
-                    # relation: D[u] - D'[v] = w for the (u -> v) reading
-                    if side == "U":
-                        val = tuple(a - b for a, b in zip(assign[node], w))
-                    else:
-                        val = tuple(a + b for a, b in zip(assign[node], w))
-                    other = (other_side, other_idx)
-                    if other in assign:
-                        if assign[other] != val:
-                            raise ValueError("bundle is not torus-equivariant")
-                    else:
-                        assign[other] = val
-                        queue.append(other)
-        for c in range(self.r):
-            self.offsets_u[c] = assign[("U", c)]
-            self.offsets_v[c] = assign[("V", c)]
+        self.offsets_u, self.offsets_v = offsets
+        self.v_weights = [_term_weight(p, self.nv) for p in bundle.space.transition.forward]
+        # inverse of the fiber weight matrix G of the v-images
+        self.g_inv = g_inv
 
     @staticmethod
     def build(bundle: TransitionBundle) -> Optional["_ExactModel"]:
         if not bundle.is_monomial_model():
             return None
-        try:
-            model = _ExactModel(bundle)
-        except ValueError:
+        nv = 1 + bundle.space.fiber_count
+        relations = _transition_relations(bundle, lambda p: _term_weight(p, nv))
+        offsets = _solve_offsets(bundle.rank, nv, relations)
+        if offsets is None:  # the bundle is not torus-equivariant
             return None
-        if model.G is not None:
-            try:
-                f = bundle.space.fiber_count
-                for j in range(f):
-                    rhs = [Fraction(int(i == j)) for i in range(f)]
-                    solve(model.G, rhs)
-            except NoSolution:
-                return None
-        return model
+        # G[j][i] is the u_j-exponent of v_i o forward; the character map is
+        # inverted through G, so G must be nonsingular
+        fwd = bundle.space.transition.forward
+        f = nv - 1
+        g = QMatrix([[_term_weight(fwd[1 + i], nv)[1 + j] for i in range(f)] for j in range(f)])
+        try:
+            g_inv_cols = [solve(g, [int(i == j) for i in range(f)]) for j in range(f)]
+        except NoSolution:
+            return None
+        return _ExactModel(bundle, offsets, QMatrix(g_inv_cols).transpose())
 
     def slice_of(self, key: Key) -> Tuple[int, ...]:
         c, exp = key
@@ -368,22 +410,14 @@ class _ExactModel:
         for c, exp in self.slice_members(chi):
             if exp[0] >= 0:
                 gens.append((("U", c, exp), {(c, exp): Fraction(1)}))
-        space = self.bundle.space
-        ring = space.uring
-        f = space.fiber_count
-        fwd = space.transition.forward
+        ring = self.bundle.space.uring
+        fwd = self.bundle.space.transition.forward
         for cp in range(self.r):
             target = tuple(x - d for x, d in zip(chi, self.offsets_v[cp]))
-            if f:
-                try:
-                    beta = solve(self.G, [Fraction(t) for t in target[1:]])
-                except NoSolution:
-                    continue
-                if any(b.denominator != 1 or b < 0 for b in beta):
-                    continue
-                beta = [int(b) for b in beta]
-            else:
-                beta = []
+            beta = self.g_inv.mul_vec(target[1:])
+            if any(b.denominator != 1 or b < 0 for b in beta):
+                continue
+            beta = [int(b) for b in beta]
             m = sum(b * self.v_weights[1 + i][0] for i, b in enumerate(beta)) - target[0]
             if m < 0:
                 continue
@@ -420,102 +454,30 @@ class _BoxModel:
 
     def _usable_gradings(self):
         """Conserved lattice vectors under which all bundle entries are
-        homogeneous, together with consistent component offsets."""
+        homogeneous, each with its consistent U-side component offsets."""
+
+        def weight(g, entry):
+            ws = {g.weight_of(e[: self.nv]) for e in entry.terms}
+            return (ws.pop(),) if len(ws) == 1 else None
+
         usable = []
         for g in self.space.gradings():
-            ok = True
-            weights: Dict[Tuple[str, int, int], int] = {}
-            for cp in range(self.r):
-                for c in range(self.r):
-                    for which, entry in (("M", self.bundle.M[cp][c]), ("I", self.bundle.Minv[c][cp])):
-                        if entry.is_zero():
-                            continue
-                        ws = {g.weight_of(e[: self.nv]) for e in entry.terms}
-                        if len(ws) != 1:
-                            ok = False
-                            break
-                        weights[(which, cp, c)] = ws.pop()
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            offs = self._offsets_for(g, weights)
-            if offs is not None:
-                usable.append((g, offs))
+            relations = _transition_relations(self.bundle, lambda entry: weight(g, entry))
+            offsets = None if relations is None else _solve_offsets(self.r, 1, relations)
+            if offsets is not None:
+                usable.append((g, [d for (d,) in offsets[0]]))
         return usable
-
-    def _offsets_for(self, g, weights):
-        du = [None] * self.r
-        dv = [None] * self.r
-        # reuse the equivariance relations, scalar-valued per lattice vector
-        adj: Dict[Tuple[str, int], List] = {}
-        for (which, cp, c), w in weights.items():
-            w = w if which == "M" else -w
-            adj.setdefault(("U", c), []).append(("V", cp, w))
-            adj.setdefault(("V", cp), []).append(("U", c, w))
-        assign: Dict[Tuple[str, int], int] = {}
-        nodes = [("U", c) for c in range(self.r)] + [("V", c) for c in range(self.r)]
-        for start in nodes:
-            if start in assign:
-                continue
-            assign[start] = 0
-            queue = [start]
-            while queue:
-                node = queue.pop()
-                side, idx = node
-                for oside, oidx, w in adj.get(node, []):
-                    val = assign[node] - w if side == "U" else assign[node] + w
-                    other = (oside, oidx)
-                    if other in assign:
-                        if assign[other] != val:
-                            return None
-                    else:
-                        assign[other] = val
-                        queue.append(other)
-        for c in range(self.r):
-            du[c] = assign.get(("U", c), 0)
-            dv[c] = assign.get(("V", c), 0)
-        return (du, dv)
 
     def bucket_of(self, key: Key) -> Tuple[int, ...]:
         c, exp = key
-        return tuple(
-            g.weight_of(exp[: self.nv]) + offs[0][c] for g, offs in self.gradings
-        )
-
-    def window_monomials(self, box: DegreeBox) -> List[Key]:
-        """All cochain monomials inside the window, canonical order."""
-        from itertools import product
-
-        f = self.space.fiber_count
-        ranges = [range(box.base_lo, box.base_hi + 1)] + [
-            range(0, box.fiber_max[j] + 1) for j in range(f)
-        ]
-        out = []
-        for c in range(self.r):
-            for combo in product(*ranges):
-                out.append((c, tuple(combo)))
-        out.sort()
-        return out
+        return tuple(g.weight_of(exp[: self.nv]) + du[c] for g, du in self.gradings)
 
     def u_generators(self, box: DegreeBox):
-        from itertools import product
-
-        f = self.space.fiber_count
-        lo = max(0, box.base_lo)
-        if lo > box.base_hi:
-            return []
-        ranges = [range(lo, box.base_hi + 1)] + [
-            range(0, box.fiber_max[j] + 1) for j in range(f)
+        return [
+            (("U", c, exp), {(c, exp): Fraction(1)})
+            for c, exp in window_monomials(box, self.r)
+            if exp[0] >= 0
         ]
-        gens = []
-        for c in range(self.r):
-            for combo in product(*ranges):
-                exp = tuple(combo)
-                gens.append((("U", c, exp), {(c, exp): Fraction(1)}))
-        return gens
 
     def v_generators(self, box: DegreeBox):
         """V-side generators Minv * (V-monomial o forward) whose support lies
@@ -674,27 +636,12 @@ class CechEngine:
             span.insert(vec, tag)
         return span
 
-    def _exact_basis_for_slices(self, slices, candidates_by_slice):
-        """Greedy monomial basis per character slice; returns basis keys and,
-        per slice, the span structure for reuse."""
-        basis: List[Key] = []
-        spans = {}
-        for chi in slices:
-            members = self.exact.slice_members(chi)
-            assert len(members) <= self.bundle.rank  # finiteness of the slice
-            span = self._exact_slice_span(chi)
-            for key in sorted(candidates_by_slice[chi]):
-                if span.insert({key: Fraction(1)}, ("B", key)):
-                    basis.append(key)
-            spans[chi] = span
-        return basis, spans
+    def _exact_basis(self, keys: Sequence[Key]):
+        """Greedy basis of the keys per character slice, with the slice spans."""
+        return _greedy_basis(keys, self.exact.slice_of, self._exact_slice_span)
 
     def _exact_h1(self, box: DegreeBox) -> H1Result:
-        model = self.exact
-        candidates: Dict[Tuple[int, ...], List[Key]] = {}
-        for key in _BoxModel(self.bundle).window_monomials(box):
-            candidates.setdefault(model.slice_of(key), []).append(key)
-        basis, _ = self._exact_basis_for_slices(sorted(candidates), candidates)
+        basis, _ = self._exact_basis(window_monomials(box, self.bundle.rank))
         return _make_h1_result(self.bundle, sorted(basis), Exact(), box)
 
     def _exact_decompose(self, vec: Vec):
@@ -706,16 +653,12 @@ class CechEngine:
         exponent) keys, into those independent modulo coboundaries and the
         dependent rest.
 
-        Greedy per character slice: slices in sorted order, keys of a slice
-        in sorted order, and a key is independent when it enlarges the span
-        of the slice's coboundaries and the keys before it.
+        A key is independent when it enlarges the span of its slice's
+        coboundaries and the keys before it (see ``_greedy_basis``).
         """
         if self.exact is None:
             raise CechError("independence of stated classes needs the exact tier")
-        by_slice: Dict[Tuple[int, ...], List[Key]] = {}
-        for key in keys:
-            by_slice.setdefault(self.exact.slice_of(key), []).append(key)
-        independent, _ = self._exact_basis_for_slices(sorted(by_slice), by_slice)
+        independent, _ = self._exact_basis(keys)
         kept = set(independent)
         return independent, [key for key in keys if key not in kept]
 
@@ -730,7 +673,7 @@ class CechEngine:
         for tag, vec in gens:
             key = bm.bucket_of(next(iter(vec)))
             sizes[key] = sizes.get(key, 0) + len(vec)
-        monos = bm.window_monomials(box)
+        monos = window_monomials(box, bm.r)
         mono_buckets: Dict[Tuple[int, ...], int] = {}
         for key in monos:
             b = bm.bucket_of(key)
@@ -750,21 +693,17 @@ class CechEngine:
 
     def _box_basis(self, box: DegreeBox, inner: DegreeBox):
         buckets, monos = self._box_spans(box)
-        bm = self.box_model
-        basis = []
-        for key in monos:
-            if not inner.contains_exp(key[1]):
-                continue
-            span = buckets.setdefault(bm.bucket_of(key), IncrementalSpan())
-            if span.insert({key: Fraction(1)}, ("B", key)):
-                basis.append(key)
-        return basis, buckets
+        inside = [key for key in monos if inner.contains_exp(key[1])]
+        return _greedy_basis(
+            inside, self.box_model.bucket_of, lambda b: buckets.setdefault(b, IncrementalSpan())
+        )
 
     def _box_stable_basis(self, box: DegreeBox):
         """Escalate until the in-box basis repeats ``stability_rounds`` times.
 
-        Returns the basis, the final window and that window's buckets, which
-        carry a ("B", key) row for every window monomial inside the box.
+        Returns the basis, the final window and that window's spans of the
+        buckets the box meets, which carry a ("B", key) row for every window
+        monomial inside the box.
         """
         window = box
         basis, buckets = self._box_basis(window, box)
@@ -839,15 +778,7 @@ class CechEngine:
             if not box.contains_exp(key[1]):
                 raise BoxError(f"class monomial {key} outside the degree box")
         if self.exact:
-            candidates: Dict[Tuple[int, ...], List[Key]] = {}
-            for key in _BoxModel(self.bundle).window_monomials(box):
-                candidates.setdefault(self.exact.slice_of(key), []).append(key)
-            for key in vec:
-                chi = self.exact.slice_of(key)
-                candidates.setdefault(chi, [])
-                if key not in candidates[chi]:
-                    candidates[chi].append(key)
-            _, spans = self._exact_basis_for_slices(sorted(candidates), candidates)
+            _, spans = self._exact_basis(window_monomials(box, self.bundle.rank))
             parts = _split(vec, self.exact.slice_of)
             cert = Exact()
         else:

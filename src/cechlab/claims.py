@@ -30,7 +30,7 @@ from .bundles import (
 from .cech import CechEngine, DegreeBox, Exact, StableInBox, monomial_class, verify_witness
 from .linalg import QMatrix, cokernel_basis, rank, solve
 from .moduli import generic_moduli_dim, splitting_type
-from .ring import LaurentPoly, RingSig, exp_trunc
+from .ring import InputError, LaurentPoly, RingSig, exp_trunc
 from .spaces import hirzebruch_verify, make_standard_space
 
 
@@ -613,7 +613,7 @@ CLAIMS: Dict[str, Callable[[], ClaimRecord]] = {
 }
 
 
-class UnknownClaimError(ValueError):
+class UnknownClaimError(InputError):
     pass
 
 

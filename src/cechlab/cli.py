@@ -31,12 +31,12 @@ from .bundles import (
     tangent_bundle,
 )
 from .cech import DegreeBox, make_class
-from .exprs import ExprSyntaxError, UnknownVariableError, parse_poly
-from .ring import LaurentPoly, RingSig, U_FRAME, V_FRAME
+from .exprs import parse_poly
+from .ring import InputError, LaurentPoly, RingSig, U_FRAME, V_FRAME
 from .spaces import ChartMap, TwoChartSpace, make_standard_space
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     pass
 
 
@@ -491,10 +491,7 @@ def _cmd_verify_paper(args) -> int:
     selection = None
     if args.claims:
         selection = [c.strip() for c in args.claims.split(",") if c.strip()]
-    try:
-        exit_code, records = claims.run_claim_suite(selection)
-    except claims.UnknownClaimError as exc:
-        raise UsageError(str(exc)) from None
+    exit_code, records = claims.run_claim_suite(selection)
     report = {
         "claims": [r.as_dict() for r in records],
         "summary": {
@@ -547,7 +544,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ExprSyntaxError, UnknownVariableError, cech.BoxError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except cech.CechError as exc:

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .ring import LaurentPoly, RingSig, exp_trunc
+from .ring import InputError, LaurentPoly, RingSig, exp_trunc
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at column {position}")
         self.position = position
 
 
-class UnknownVariableError(ValueError):
+class UnknownVariableError(InputError):
     pass
 
 

@@ -20,11 +20,11 @@ from .bundles import Matrix, mat_mul
 from .cech import CechClass, CechEngine, DegreeBox, make_class
 from .bundles import line_bundle
 from .linalg import QMatrix, nullspace
-from .ring import LaurentPoly, RingSig
+from .ring import InputError, LaurentPoly, RingSig
 from .spaces import TwoChartSpace
 
 
-class NonUnitDeterminant(ValueError):
+class NonUnitDeterminant(InputError):
     """Splitting type needs an invertible matrix with monomial determinant."""
 
 
@@ -234,7 +234,7 @@ class ModuliDimReport:
 def first_neighborhood_dim(space: TwoChartSpace, j: int, box: Optional[DegreeBox] = None) -> int:
     """Dimension of the classes in H^1(space, O(-2j)) with total fiber degree <= 1."""
     if j < 1:
-        raise ValueError("j must be >= 1")
+        raise InputError("j must be >= 1")
     bundle = line_bundle(space, -2 * j)
     if box is None:
         spread = max(

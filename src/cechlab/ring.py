@@ -24,6 +24,10 @@ U_FRAME = "U"
 V_FRAME = "V"
 
 
+class InputError(ValueError):
+    """Bad user input: the command line reports it in one line and exits 2."""
+
+
 class SignatureError(ValueError):
     """Mixed-ring or mixed-frame arithmetic."""
 
@@ -32,7 +36,7 @@ class NonUnitSubstitution(ValueError):
     """Base variable substituted by something other than an invertible monomial."""
 
 
-class SeriesDomainError(ValueError):
+class SeriesDomainError(InputError):
     """Series expansion argument outside the truncatable domain."""
 
 

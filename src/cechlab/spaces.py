@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import QMatrix, nullspace
-from .ring import LaurentPoly, RingSig, U_FRAME, V_FRAME
+from .ring import InputError, LaurentPoly, RingSig, U_FRAME, V_FRAME
 
 
-class CompositionError(ValueError):
+class CompositionError(InputError):
     """Chart composition is not the identity; carries the offending residual."""
 
     def __init__(self, message: str, residual: LaurentPoly):
@@ -245,7 +245,7 @@ def hirzebruch_verify(k: int, perturbation: Optional[LaurentPoly] = None):
     perturbation must make the check fail (mutation testing hook).
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     if k == 1:
         return None
     p = k - 1

@@ -8,10 +8,14 @@ analysis; the W2-End-infinite claim attaches the witnesses as its
 ``statedButTrivial`` artifact.
 """
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 from cechlab import claims as claims_mod
 from cechlab.bundles import end_bundle, flat_index, line_bundle, tangent_bundle
+from cechlab.cli import main as cli_main
 from cechlab.cech import (
     CechEngine,
     DegreeBox,
@@ -303,10 +307,28 @@ def test_c12_cy_determinant_and_property_suites():
     )
 
 
-def test_claim_suite_exit_code_and_size():
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_claim_suite_exit_code_and_size(capsys, monkeypatch):
     code, records = claims_mod.run_claim_suite()
     verified = sum(r.status == "verified" for r in records)
     flagged = sum(r.status == "discrepancy-flagged" for r in records)
     assert code == 0  # flagged discrepancies exit 0 with a warning
     assert verified + flagged == len(records) == 12
     assert verified >= 9
+    # byte identity: every claim record and the verify-paper JSON report of
+    # this same run hash to the recorded reference digests
+    ref = json.loads(REFERENCE.read_text())
+    assert sorted(r.claim_id for r in records) == sorted(ref["claims"])
+    for r in records:
+        text = json.dumps(r.as_dict(), sort_keys=True, indent=2)
+        assert _sha256(text) == ref["claims"][r.claim_id], r.claim_id
+    monkeypatch.setattr(claims_mod, "run_claim_suite", lambda selection=None: (code, records))
+    capsys.readouterr()
+    assert cli_main(["verify-paper", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == ref["report"]

@@ -13,6 +13,9 @@ from cechlab.cech import (
     WitnessFound,
     _BoxModel,
     _class_to_vec,
+    _greedy_basis,
+    _solve_offsets,
+    _transition_relations,
     _vec_to_class,
     _witness_from_tags,
     coboundary_generators,
@@ -22,6 +25,7 @@ from cechlab.cech import (
     monomial_class,
     reduce_class,
     verify_witness,
+    window_monomials,
 )
 from cechlab.deform import build_family
 from cechlab.ring import LaurentPoly, exp_trunc
@@ -49,6 +53,37 @@ def _box_tier(bundle):
     eng.exact = None
     eng.box_model = _BoxModel(bundle)
     return eng
+
+
+# -- component offsets ----------------------------------------------------------
+
+
+def _relations_hold(offsets, relations):
+    du, dv = offsets
+    return all(
+        tuple(a - b for a, b in zip(du[c], dv[cp])) == w for c, cp, w in relations
+    )
+
+
+def test_offsets_solver_satisfies_relations_or_reports_conflict():
+    # the cycle U0-V0-U1-V1-U0 closes: a - b + c - d = 0; U2 and V2 are free
+    a, b, c = (1, 2), (3, -1), (0, 4)
+    d = tuple(x - y + z for x, y, z in zip(a, b, c))
+    relations = [(0, 0, a), (1, 0, b), (1, 1, c), (0, 1, d)]
+    offsets = _solve_offsets(3, 2, relations)
+    assert offsets is not None and _relations_hold(offsets, relations)
+    assert offsets[0][2] == offsets[1][2] == (0, 0)
+    # the same cycle with one weight off cannot close
+    assert _solve_offsets(3, 2, relations[:3] + [(0, 1, (d[0], d[1] + 1))]) is None
+    assert _solve_offsets(1, 1, [(0, 0, (2,)), (0, 0, (-2,))]) is None
+    # monomial-model bundles: every transition entry satisfies its relation
+    w2 = make_standard_space("W", 2)
+    for bundle in (tangent_bundle(make_standard_space("W", 3)), end_bundle(tangent_bundle(w2))):
+        relations = _transition_relations(bundle, lambda p: next(iter(p.terms))[:3])
+        offsets = _solve_offsets(bundle.rank, 3, relations)
+        assert offsets is not None and _relations_hold(offsets, relations)
+    # an entry that is not homogeneous gives no relations
+    assert _transition_relations(line_bundle(w2, -2), lambda p: None) is None
 
 
 # -- coboundary generators -----------------------------------------------------
@@ -443,11 +478,8 @@ def test_exact_reduce_matches_full_window_reference():
     for bundle, lo, hi, fm in cases:
         box = DegreeBox.make(lo, hi, fm, bundle.space.fiber_count)
         engine = CechEngine(bundle)
-        monos = _BoxModel(bundle).window_monomials(box)
-        candidates = {}
-        for key in monos:
-            candidates.setdefault(engine.exact.slice_of(key), []).append(key)
-        _, spans = engine._exact_basis_for_slices(sorted(candidates), candidates)
+        monos = window_monomials(box, bundle.rank)
+        _, spans = _greedy_basis(monos, engine.exact.slice_of, engine._exact_slice_span)
         # every window monomial alone, then all of them at once
         vecs = [{key: Fraction(1)} for key in monos]
         vecs.append({key: Fraction(n + 1, 3) for n, key in enumerate(monos)})

@@ -144,6 +144,28 @@ def test_bad_degree_box_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, max_cells",
+    [
+        ("split-type --matrix z,1;1,z", None),  # determinant is not a unit monomial
+        ("coboundary Z1 --bundle O(-2) --cocycle exp(z)", None),  # series of a constant
+        ("coboundary bad --space-file {cfg} --bundle O(-2) --cocycle z^-1", None),
+        ("moduli-dim W2 --j 0", None),
+        ("hirzebruch 0", None),
+        ("coboundary W2@t1=1 --bundle O(-4) --cocycle z^-1", "abc"),
+    ],
+)
+def test_bad_input_is_a_one_line_error(capsys, monkeypatch, tmp_path, argv, max_cells):
+    cfg = tmp_path / "bad.cfg"  # the two maps are not mutually inverse
+    cfg.write_text("name = bad\nforward = z^-1, z^2*u\ninverse = xi^-1, xi^2*v + 1\n")
+    if max_cells is not None:
+        monkeypatch.setenv("CECH_MAX_CELLS", max_cells)
+    code, _, err = run(capsys, *shlex.split(argv.format(cfg=cfg)))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_readme_cli_examples_exit_0(capsys, tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
