@@ -93,7 +93,10 @@ def _parse_params(text: str) -> Dict[int, Fraction]:
         m = re.match(r"^t(\d+)=(-?\d+(?:/\d+)?)$", piece)
         if not m:
             raise UsageError(f"bad parameter assignment {piece!r}")
-        out[int(m.group(1))] = Fraction(m.group(2))
+        try:
+            out[int(m.group(1))] = Fraction(m.group(2))
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in parameter assignment {piece!r}") from None
     if not out:
         raise UsageError("empty parameter assignment")
     return out
@@ -390,6 +393,8 @@ def _cmd_split_type(args) -> int:
             [parse_poly(e, ring) for e in row.split(",")]
             for row in args.matrix.split(";")
         ]
+        if any(len(r) != len(rows) for r in rows):
+            raise UsageError(f"--matrix must be square; got row lengths {[len(r) for r in rows]}")
         matrix = tuple(tuple(r) for r in rows)
         source = "matrix"
     else:
@@ -410,6 +415,8 @@ def _cmd_split_type(args) -> int:
 
 
 def _cmd_ext_verdict(args) -> int:
+    if args.cutoff < 0:
+        raise UsageError("--cutoff must be >= 0")
     space = parse_space(args.space, args.space_file)
     rep = parse_poly(args.cocycle, space.uring, args.cutoff)
     verdict = moduli.extension_verdict(space, args.sub, args.quot, rep, args.cutoff)
@@ -451,6 +458,10 @@ def _cmd_deform(args) -> int:
     values = None
     if args.assign:
         parsed = _parse_params(args.assign)
+        unknown = sorted(set(parsed) - set(range(1, len(cocycles) + 1)))
+        if unknown:
+            names = ", ".join(f"t{s + 1}" for s in range(len(cocycles)))
+            raise UsageError(f"the {args.space} family has parameters {names}; no t{unknown[0]}")
         values = [parsed.get(s + 1, Fraction(0)) for s in range(len(cocycles))]
     fam = deform.build_family(base, cocycles, values)
     payload = {
@@ -466,7 +477,10 @@ def _cmd_deform(args) -> int:
 
 def _cmd_probe_affine(args) -> int:
     space = parse_space(args.space, args.space_file)
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    try:
+        degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    except ValueError:
+        raise UsageError(f"--degrees must be comma-separated integers: {args.degrees!r}") from None
     box = _box_from_args(args, space)
     report = deform.affineness_probe(space, degrees, box)
     _emit(report.as_dict(), args)
@@ -491,6 +505,8 @@ def _cmd_verify_paper(args) -> int:
     selection = None
     if args.claims:
         selection = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not selection:
+            raise UsageError(f"--claims {args.claims!r} names no claim")
     exit_code, records = claims.run_claim_suite(selection)
     report = {
         "claims": [r.as_dict() for r in records],

@@ -163,6 +163,8 @@ class _Parser:
                 dkind, dval, dpos = self.take()
                 if dkind != "num":
                     raise ExprSyntaxError("expected denominator", dpos)
+                if int(dval) == 0:
+                    raise ExprSyntaxError("zero denominator", dpos)
                 value = value / int(dval)
             return Num(value)
         if kind == "name":

@@ -3,13 +3,16 @@
 Dense elimination is fraction-free (Bareiss one-step division scheme) on an
 integer-scaled copy of the matrix, with a fixed first-nonzero pivot rule, so
 rank, solutions and complement bases are deterministic.  A sparse incremental
-eliminator with witness tracking backs the cohomology engine.
+eliminator with witness tracking backs the cohomology engine.  It is
+fraction-free too: its rows are primitive integer vectors, and each row's
+witness is an integer tag combination over one positive denominator, turned
+into ``Fraction`` coefficients only when ``decompose`` returns them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 
@@ -151,52 +154,104 @@ def cokernel_basis(mat: QMatrix) -> List[List[Fraction]]:
 class IncrementalSpan:
     """Sparse exact span with membership witnesses.
 
-    Vectors are dicts coordinate -> Fraction over orderable coordinate keys.
-    Each inserted vector is tagged; ``decompose`` returns the combination of
-    tags expressing a member, which the cohomology engine turns into explicit
-    coboundary witnesses.
+    Vectors are dicts coordinate -> rational (``int`` or ``Fraction``) over
+    orderable coordinate keys.  Each inserted vector is tagged;
+    ``decompose`` returns the combination of tags expressing a member, which
+    the cohomology engine turns into explicit coboundary witnesses.
+
+    Rows are primitive integer vectors keyed by their pivot, the least live
+    coordinate.  Each row keeps its tag combination as integers over one
+    positive denominator, ``den * row = sum(combo[t] * inserted[t])``.
+    Reduction is fraction-free cross-multiplication, ``b*v - a*row`` with
+    ``gcd(a, b)`` divided out, and no ``Fraction`` is formed until
+    ``decompose`` returns its coefficients.  With the least-pivot rule every
+    row is a scalar multiple of the row that rational elimination stores, so
+    ``insert``, ``dim`` and ``decompose`` give exactly the rational answers.
     """
 
     def __init__(self):
-        self._rows: Dict[Hashable, Tuple[Dict, Dict]] = {}  # pivot -> (vector, combo)
+        # pivot -> (primitive integer row, integer tag combination, denominator)
+        self._rows: Dict[Hashable, Tuple[Dict, Dict, int]] = {}
 
-    def _reduce(self, vec: Dict, combo: Dict) -> Tuple[Dict, Dict]:
-        vec = dict(vec)
-        combo = dict(combo)
-        while True:
-            live = [k for k, v in vec.items() if v != 0]
-            if not live:
-                return {}, combo
-            pivot = min(live)
-            if pivot not in self._rows:
-                return ({k: v for k, v in vec.items() if v != 0}, combo)
-            row, row_combo = self._rows[pivot]
-            factor = vec[pivot] / row[pivot]
-            for k, v in row.items():
-                vec[k] = vec.get(k, Fraction(0)) - factor * v
-            for t, v in row_combo.items():
-                combo[t] = combo.get(t, Fraction(0)) - factor * v
-            vec = {k: v for k, v in vec.items() if v != 0}
+    def _reduce(self, vec: Dict, tag: Hashable) -> Tuple[Dict, Optional[Dict], int]:
+        """Reduce ``vec`` against the rows.
+
+        Returns ``(v, combo, den)``: the primitive integer residual ``v`` and
+        integer coefficients with ``den * v = sum(combo[t] * gen[t])``, where
+        ``gen[tag]`` is ``vec`` itself.  With ``tag`` None no combination is
+        tracked and ``combo`` is None.
+        """
+        dens = [x.denominator for x in vec.values()]
+        scale = lcm(*dens)
+        v = {k: x.numerator * (scale // d) for (k, x), d in zip(vec.items(), dens) if x}
+        den = gcd(*v.values()) or 1
+        if den != 1:
+            for k in v:
+                v[k] //= den
+        combo = None if tag is None else {tag: scale}
+        rows = self._rows
+        while v:
+            pivot = min(v)
+            entry = rows.get(pivot)
+            if entry is None:
+                break
+            row, row_combo, row_den = entry
+            a, b = v[pivot], row[pivot]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b < 0:
+                a, b = -a, -b
+            # v <- b*v - a*row cancels the pivot
+            if b != 1:
+                for k in v:
+                    v[k] *= b
+            for k, x in row.items():
+                y = v.get(k, 0) - a * x
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+            if combo is not None:
+                mul, sub = b * row_den, a * den
+                if mul != 1:
+                    for t in combo:
+                        combo[t] *= mul
+                for t, x in row_combo.items():
+                    combo[t] = combo.get(t, 0) - sub * x
+                den *= row_den
+            if v:
+                g = gcd(*v.values())
+                if g != 1:
+                    for k in v:
+                        v[k] //= g
+                    den *= g
+        return v, combo, den
 
     def insert(self, vec: Dict, tag: Hashable) -> bool:
         """Add a vector; returns True if it enlarged the span."""
-        residual, combo = self._reduce(vec, {tag: Fraction(1)})
+        residual, combo, den = self._reduce(vec, tag)
         if not residual:
             return False
-        pivot = min(residual)
-        self._rows[pivot] = (residual, combo)
+        g = gcd(den, *combo.values())
+        if g != 1:
+            combo = {t: c // g for t, c in combo.items()}
+            den //= g
+        self._rows[min(residual)] = (residual, combo, den)
         return True
 
     def contains(self, vec: Dict) -> bool:
-        residual, _ = self._reduce(vec, {})
+        residual, _, _ = self._reduce(vec, None)
         return not residual
 
     def decompose(self, vec: Dict) -> Optional[Dict]:
         """Coefficients {tag: c} with vec = sum c * inserted[tag], or None."""
-        residual, combo = self._reduce(vec, {})
+        own = object()  # the tag of ``vec`` itself
+        residual, combo, _ = self._reduce(vec, own)
         if residual:
             return None
-        return {t: -v for t, v in combo.items() if v != 0}
+        # 0 = combo[own] * vec + sum of combo[t] * inserted[t]
+        scale = combo.pop(own)
+        return {t: Fraction(-c, scale) for t, c in combo.items() if c}
 
     @property
     def dim(self) -> int:

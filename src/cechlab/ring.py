@@ -10,12 +10,22 @@ polynomial equality.
 
 Coefficients are exact rationals throughout.  No floating point enters any
 computation in this package.
+
+``LaurentPoly(ring, terms)`` validates its input: no floats, the ring's
+arity, nonnegative fiber and parameter exponents, and zero coefficients
+dropped.  Results of operations that are closed on valid polynomials (``+``,
+unary ``-``, ``*``, ``**``, ``substitute``, ``partial``, ``fiber_component``
+and ``truncate_fiber``) are built by ``LaurentPoly._unchecked``, which skips
+those checks; such a result must already be a dict of ``Fraction``
+coefficients without zeros, keyed by exponent tuples of the right arity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -86,6 +96,26 @@ class RingSig:
         return RingSig(self.fibers, 0, self.frame)
 
 
+def _accumulate(out: Dict[Exponent, Fraction], terms: Mapping[Exponent, Fraction]) -> None:
+    """Add ``terms`` into ``out`` in place, deleting the sums that vanish."""
+    for exp, c in terms.items():
+        prev = out.get(exp)
+        if prev is None:
+            out[exp] = c
+        else:
+            c = prev + c
+            if c:
+                out[exp] = c
+            else:
+                del out[exp]
+
+
+def _over_common_denominator(terms: Mapping[Exponent, Fraction]):
+    """``(d, [(exp, n)])`` with every coefficient equal to ``n / d``."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("floating point coefficients are forbidden")
@@ -111,6 +141,15 @@ class LaurentPoly:
             clean[tuple(exp)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _unchecked(cls, ring: RingSig, terms: Dict[Exponent, Fraction]) -> "LaurentPoly":
+        """A result of a closed operation: ``terms`` is valid as it stands
+        (see the module docstring) and is kept, not copied."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ring", ring)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("LaurentPoly is immutable")
@@ -149,14 +188,13 @@ class LaurentPoly:
             other = LaurentPoly.const(self.ring, other)
         self._check(other)
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return LaurentPoly(self.ring, out)
+        _accumulate(out, other.terms)
+        return LaurentPoly._unchecked(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._unchecked(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,14 +207,30 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return LaurentPoly(self.ring, {e: c * v for e, v in self.terms.items()})
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+            return LaurentPoly._unchecked(self.ring, terms)
         self._check(other)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.ring, out)
+        if len(self.terms) == 1 == len(other.terms):
+            ((e1, c1),) = self.terms.items()
+            ((e2, c2),) = other.terms.items()
+            return LaurentPoly._unchecked(self.ring, {tuple(map(add, e1, e2)): c1 * c2})
+        # integer convolution over the product of the common denominators;
+        # one Fraction per result term
+        d1, left = _over_common_denominator(self.terms)
+        d2, right = _over_common_denominator(other.terms)
+        acc: Dict[Exponent, int] = {}
+        get = acc.get
+        for e1, n1 in left:
+            for e2, n2 in right:
+                e = tuple(map(add, e1, e2))
+                prev = get(e)
+                acc[e] = n1 * n2 if prev is None else prev + n1 * n2
+        den = d1 * d2
+        if den == 1:
+            out = {e: Fraction(n) for e, n in acc.items() if n}
+        else:
+            out = {e: Fraction(n, den) for e, n in acc.items() if n}
+        return LaurentPoly._unchecked(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -187,10 +241,10 @@ class LaurentPoly:
             if not self.is_unit():
                 raise NonUnitSubstitution("negative power of a non-unit polynomial")
             (exp, coeff), = self.terms.items()
-            return LaurentPoly.monomial(
-                self.ring, tuple(e * n for e in exp), Fraction(1) / coeff ** (-n)
+            return LaurentPoly._unchecked(
+                self.ring, {tuple(e * n for e in exp): Fraction(1) / coeff ** (-n)}
             )
-        result = LaurentPoly.const(self.ring, 1)
+        result = LaurentPoly._unchecked(self.ring, {(0,) * self.ring.nvars: Fraction(1)})
         square = self
         while n:
             if n & 1:
@@ -267,13 +321,13 @@ class LaurentPoly:
 
     def fiber_component(self, degree: int) -> "LaurentPoly":
         """Part of the polynomial with total fiber degree exactly ``degree``."""
-        return LaurentPoly(
+        return LaurentPoly._unchecked(
             self.ring,
             {e: c for e, c in self.terms.items() if self.fiber_degree(e) == degree},
         )
 
     def truncate_fiber(self, cutoff: int) -> "LaurentPoly":
-        return LaurentPoly(
+        return LaurentPoly._unchecked(
             self.ring,
             {e: c for e, c in self.terms.items() if self.fiber_degree(e) <= cutoff},
         )
@@ -309,7 +363,8 @@ class LaurentPoly:
             raise NonUnitSubstitution(
                 f"base variable image must be an invertible monomial, got {full[0]}"
             )
-        out = LaurentPoly.zero(target)
+        out: Dict[Exponent, Fraction] = {}
+        one = (0,) * target.nvars
         power_cache: Dict[Tuple[int, int], LaurentPoly] = {}
 
         def pw(i: int, e: int) -> LaurentPoly:
@@ -319,12 +374,12 @@ class LaurentPoly:
             return power_cache[key]
 
         for exp, coeff in self.terms.items():
-            term = LaurentPoly.const(target, coeff)
+            term = LaurentPoly._unchecked(target, {one: coeff})
             for i, e in enumerate(exp):
                 if e != 0:
                     term = term * pw(i, e)
-            out = out + term
-        return out
+            _accumulate(out, term.terms)
+        return LaurentPoly._unchecked(target, out)
 
     def partial(self, idx: int) -> "LaurentPoly":
         """Exact partial derivative with respect to variable ``idx``."""
@@ -337,9 +392,8 @@ class LaurentPoly:
                 raise ValueError("derivative produced a negative fiber exponent")
             new = list(exp)
             new[idx] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return LaurentPoly(self.ring, out)
+            out[tuple(new)] = coeff * e  # distinct exponents stay distinct
+        return LaurentPoly._unchecked(self.ring, out)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         """Exact evaluation; base value must be nonzero."""
@@ -407,7 +461,7 @@ def exp_trunc(arg: LaurentPoly, fiber_cutoff: int) -> LaurentPoly:
     total fiber degree <= ``fiber_cutoff`` is exact.
     """
     if fiber_cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+        raise SeriesDomainError("series cutoff must be >= 0")
     for exp in arg.terms:
         if arg.fiber_degree(exp) < 1:
             raise SeriesDomainError(

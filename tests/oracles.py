@@ -2,7 +2,8 @@
 
 These deliberately avoid the engine's slicing machinery: plain window
 enumeration, dict-based Gaussian elimination over Fraction, and global
-section counting for splitting types.
+section counting for splitting types.  ``FractionSpan`` is the rational
+reference for the integer-row ``IncrementalSpan``.
 """
 
 from fractions import Fraction
@@ -27,6 +28,54 @@ def _insert(rows, vec):
         return False
     rows[min(vec)] = vec
     return True
+
+
+class FractionSpan:
+    """Reference for ``cechlab.linalg.IncrementalSpan``: the same least-pivot
+    sparse elimination with witness tracking, done directly in ``Fraction``
+    arithmetic on rational rows and tag combinations."""
+
+    def __init__(self):
+        self._rows = {}  # pivot -> (vector, combo)
+
+    def _reduce(self, vec, combo):
+        vec = dict(vec)
+        combo = dict(combo)
+        while True:
+            live = [k for k, v in vec.items() if v != 0]
+            if not live:
+                return {}, combo
+            pivot = min(live)
+            if pivot not in self._rows:
+                return ({k: v for k, v in vec.items() if v != 0}, combo)
+            row, row_combo = self._rows[pivot]
+            factor = vec[pivot] / row[pivot]
+            for k, v in row.items():
+                vec[k] = vec.get(k, Fraction(0)) - factor * v
+            for t, v in row_combo.items():
+                combo[t] = combo.get(t, Fraction(0)) - factor * v
+            vec = {k: v for k, v in vec.items() if v != 0}
+
+    def insert(self, vec, tag):
+        residual, combo = self._reduce(vec, {tag: Fraction(1)})
+        if not residual:
+            return False
+        self._rows[min(residual)] = (residual, combo)
+        return True
+
+    def contains(self, vec):
+        residual, _ = self._reduce(vec, {})
+        return not residual
+
+    def decompose(self, vec):
+        residual, combo = self._reduce(vec, {})
+        if residual:
+            return None
+        return {t: -v for t, v in combo.items() if v != 0}
+
+    @property
+    def dim(self):
+        return len(self._rows)
 
 
 def brute_h1_keys(bundle, lo, hi, fmax, margin=8):

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cechlab.cli import main, load_space_file, parse_space
 
@@ -153,6 +156,14 @@ def test_bad_degree_box_is_a_usage_error(capsys, argv):
         ("moduli-dim W2 --j 0", None),
         ("hirzebruch 0", None),
         ("coboundary W2@t1=1 --bundle O(-4) --cocycle z^-1", "abc"),
+        ("h1 Z2@t1=1/0 --bundle O(-2)", None),  # zero denominator
+        ("split-type --matrix z,1;1", None),  # ragged matrix
+        ("probe-affine Z2@t1=1 --degrees=x", None),
+        ("deform Z2 --set t5=1", None),  # the Z2 family has only t1
+        ("coboundary Z1 --bundle O(-2) --cocycle 1/0*z^-1", None),
+        ("ext-verdict Z1 --sub -1 --quot 1 --cocycle z^-2*exp(u) --cutoff -1", None),
+        ("coboundary Z1 --bundle O(-2) --cocycle z^-2*exp(u) --exp-cutoff -1", None),
+        ("verify-paper --claims ,", None),  # names no claim
     ],
 )
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, tmp_path, argv, max_cells):
@@ -218,3 +229,110 @@ def test_deformed_space_names():
     assert [str(p) for p in s.transition.forward] == ["z^-1", "z*u2 + z^2*u1", "u2"]
     s = parse_space("Z3@t1=1,t2=2")
     assert [str(p) for p in s.transition.forward] == ["z^-1", "z + 2*z^2 + z^3*u"]
+
+
+# -- fuzzing: a small argv grammar, valid and malformed pieces mixed ---------
+
+_SPACES = [
+    "Z-1", "Z1", "Z2", "Z3", "W1", "W2", "W3", "W2@t1=1", "Z2@t1=1", "Z3@t1=1,t2=1/2",
+    "W3@t2=1", "Q7", "Z", "W2@", "W2@t1=", "Z2@t1=x", "Z2@t1=1/0", "W2@t0=2", "Z2@t5=1",
+]
+_BUNDLES = [
+    "O(-2)", "O(-4)", "O(1)", "O(x)", "tangent", "end-tangent", "ext(-1,1,z^-2*exp(u))",
+    "ext(1,2,z^-1)", "ext(1,2,", "nonsense",
+]
+_EXPRS = [
+    "z^-1", "z^-2*u", "z^-1*u2", "z^-3*u1 + 2*z^-1", "0", "z^-1,", "z^-1,0,0", "exp(z)",
+    "z^-2*exp(u)", "z^^", "(", "1/0", "z^-20", "u9", "xi", "z^-1/2", "",
+]
+_MATRIX_ENTRIES = ["z", "1", "0", "z^-1", "z^2", "2*z", "u", "x", "", "1/0"]
+
+
+def _ints(lo, hi, *bad):
+    """An integer in [lo, hi] as text, or now and then one of ``bad``."""
+    return st.sampled_from([str(i) for i in range(lo, hi + 1)] * 3 + list(bad))
+
+
+@st.composite
+def _box_opts(draw):
+    opts = []
+    for flag, values in (
+        ("--l-lo", _ints(-4, 4, "x", "")),
+        ("--l-hi", _ints(-4, 4, "1.5")),
+        ("--fiber-max", _ints(-1, 3, "y")),
+        ("--escalation-step", _ints(0, 2, "z")),
+        ("--stability-rounds", _ints(0, 1)),
+    ):
+        if draw(st.booleans()):
+            opts += [flag, draw(values)]
+    # keep every example cheap: a small box unless the box is malformed
+    for flag, value in (("--l-lo", "-2"), ("--l-hi", "1"), ("--fiber-max", "2"),
+                        ("--escalation-step", "1"), ("--stability-rounds", "1")):
+        if flag not in opts:
+            opts += [flag, value]
+    return opts
+
+
+@st.composite
+def _matrices(draw):
+    rows = draw(st.integers(1, 3))
+    return ";".join(
+        ",".join(draw(st.lists(st.sampled_from(_MATRIX_ENTRIES), min_size=1, max_size=3)))
+        for _ in range(rows)
+    )
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([
+        "h1", "coboundary", "reduce", "split-type", "ext-verdict", "moduli-dim",
+        "deform", "probe-affine", "hirzebruch", "verify-paper", "bogus",
+    ]))
+    space = draw(st.sampled_from(_SPACES))
+    fmt = ["--format", draw(st.sampled_from(["table", "json"] * 4 + ["xml"]))]
+    if command in ("h1", "coboundary", "reduce"):
+        argv = [command, space, "--bundle", draw(st.sampled_from(_BUNDLES))]
+        if command != "h1":
+            argv += ["--cocycle", draw(st.sampled_from(_EXPRS))]
+        if draw(st.booleans()):
+            argv += ["--exp-cutoff", draw(_ints(0, 4, "-1"))]
+        return argv + draw(_box_opts()) + fmt
+    if command == "split-type":
+        if draw(st.booleans()):
+            return [command, "--matrix", draw(_matrices())] + fmt
+        return [command, space, "--bundle", draw(st.sampled_from(_BUNDLES))] + fmt
+    if command == "ext-verdict":
+        return [
+            command, space, "--sub", draw(_ints(-2, 2, "a")), "--quot", draw(_ints(-2, 2)),
+            "--cocycle", draw(st.sampled_from(_EXPRS)), "--cutoff", draw(_ints(0, 4, "-1")),
+        ] + fmt
+    if command == "moduli-dim":
+        return [command, space, "--j", draw(_ints(0, 1, "-1", "q"))] + fmt
+    if command == "deform":
+        argv = [command, draw(st.sampled_from(["Z1", "Z2", "Z3", "W2", "W3", "W1", "W2@t1=1"]))]
+        if draw(st.booleans()):
+            argv += ["--jmax", draw(_ints(0, 2, "-1"))]
+        if draw(st.booleans()):
+            argv += ["--set", draw(st.sampled_from(
+                ["t1=1", "t1=1,t3=1/2", "t5=1", "t0=1", "t1=1/0", "t1=x", "", "t2=-3/4"]
+            ))]
+        return argv + fmt
+    if command == "probe-affine":
+        degrees = draw(st.sampled_from(["-1", "-2,-3", "x", "", "-1,,", "1/2", "-4"]))
+        return [command, space, f"--degrees={degrees}"] + draw(_box_opts()) + fmt
+    if command == "hirzebruch":
+        return [command, draw(_ints(-2, 4, "k"))] + fmt
+    if command == "verify-paper":
+        claim = draw(st.sampled_from(["W1-rigidity", "Hirzebruch-identities", "bogus-id", ","]))
+        return [command, "--claims", claim] + fmt
+    return [command, space]
+
+
+@given(_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    """Any argv from the grammar exits 0, 1 or 2, and never with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an escaping exception is the traceback
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

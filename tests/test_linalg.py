@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from cechlab.linalg import (
     rank,
     solve,
 )
+from oracles import FractionSpan
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
@@ -104,3 +106,65 @@ def test_incremental_span_witness():
     assert dec == {"g1": Fraction(3), "g2": Fraction(2)}
     assert span.decompose({"c": Fraction(1)}) is None
     assert span.dim == 2
+
+
+coord = st.integers(0, 7)
+rational = st.one_of(st.integers(-4, 4), frac)
+sparse = st.dictionaries(coord, rational, max_size=5)
+
+
+def _assert_rows_primitive_with_witness(span, inserted):
+    """Each stored row is a primitive integer vector with
+    den * row = sum(combo[t] * inserted[t]) and den > 0."""
+    for pivot, (row, combo, den) in span._rows.items():
+        assert pivot == min(row)
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert type(den) is int and den > 0
+        total = {}
+        for t, c in combo.items():
+            for k, x in inserted[t].items():
+                total[k] = total.get(k, Fraction(0)) + c * Fraction(x)
+        assert {k: x for k, x in total.items() if x} == {k: den * x for k, x in row.items()}
+
+
+@given(
+    st.lists(
+        st.tuples(
+            sparse,
+            st.integers(0, 9),
+            st.lists(st.tuples(st.integers(0, 20), rational), max_size=3),
+            sparse,
+        ),
+        max_size=12,
+    )
+)
+def test_integer_span_matches_fraction_reference(steps):
+    """The span takes int and Fraction entries; the reference gets them all
+    as Fractions."""
+
+    def as_fractions(vec):
+        return {k: Fraction(x) for k, x in vec.items()}
+
+    span, ref = IncrementalSpan(), FractionSpan()
+    inserted = {}
+    history = []
+    for vec, label, mix, noise in steps:
+        tag = (label, len(history))  # orderable, distinct, not in insertion order
+        assert span.insert(vec, tag) == ref.insert(as_fractions(vec), tag)
+        assert span.dim == ref.dim
+        inserted[tag] = vec
+        history.append(vec)
+        _assert_rows_primitive_with_witness(span, inserted)
+        member = {}
+        for j, c in mix:
+            for k, x in history[j % len(history)].items():
+                member[k] = member.get(k, Fraction(0)) + c * x
+        for query in (member, noise, {**member, **noise}):
+            assert span.contains(query) == ref.contains(as_fractions(query))
+            got, want = span.decompose(query), ref.decompose(as_fractions(query))
+            assert (got is None) == (want is None)
+            if got is not None:
+                # equal coefficients, in the same tag order
+                assert list(got.items()) == list(want.items())
+                assert all(type(c) is Fraction for c in got.values())

@@ -206,3 +206,29 @@ def test_canonical_printing_deterministic():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         LaurentPoly(U1, {(0, 0): 0.5})
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        LaurentPoly(U1, {(0, 0, 0): Fraction(1)})  # arity
+    with pytest.raises(ValueError):
+        LaurentPoly(U1, {(0, -1): Fraction(1)})  # negative fiber exponent
+    assert LaurentPoly(U1, {(0, 1): 0, (1, 1): 2}).terms == {(1, 1): Fraction(2)}
+
+
+def _assert_valid(p):
+    """An operation's result is what the checking constructor would build."""
+    assert p == LaurentPoly(p.ring, dict(p.terms))
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(type(e) is tuple and len(e) == p.ring.nvars for e in p.terms)
+
+
+@given(polys(), polys(), st.integers(0, 3), coeffs)
+def test_unchecked_results_are_valid(a, b, n, c):
+    for p in (a + b, a - b, -a, a * b, a * c, a ** n, a.partial(0), a.partial(1),
+              a.fiber_component(n), a.truncate_fiber(n)):
+        _assert_valid(p)
+    assert not (a + (-a)).terms and not (a * 0).terms
+    _assert_valid(a.substitute(_w3_images(), V2))
+    if a.is_unit():
+        _assert_valid(a ** -n)
