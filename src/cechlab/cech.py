@@ -432,8 +432,7 @@ class _ExactModel:
                     continue
                 poly = entry * factor
                 for exp, coeff in poly.terms.items():
-                    vec[(c, exp)] = vec.get((c, exp), Fraction(0)) + coeff
-            vec = {k: v for k, v in vec.items() if v != 0}
+                    vec[(c, exp)] = coeff
             if vec:
                 gens.append((("V", cp, m, tuple(beta)), vec))
         return gens
@@ -567,7 +566,7 @@ class _BoxModel:
                     if not box.contains_exp(e):
                         ok = False
                         break
-                    vec[(c, e)] = vec.get((c, e), Fraction(0)) + coeff
+                    vec[(c, e)] = coeff
                 if not ok:
                     break
             if not ok or not vec:

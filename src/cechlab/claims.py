@@ -301,7 +301,10 @@ def claim_w2_end_infinite() -> ClaimRecord:
             ok, cert = engine.is_coboundary(
                 cls, DegreeBox.make(-6, 2, (2, exp[2] + 1), 2)
             )
-            assert ok and verify_witness(bundle, cls, cert)
+            if not (ok and verify_witness(bundle, cls, cert)):
+                rec.status = "failed"
+                rec.notes.append(f"no re-validated witness for {cls}")
+                return rec
             witnesses.append(
                 {
                     "class": str(cls.components[comp0]),
@@ -359,32 +362,13 @@ def claim_moduli_dimensions() -> ClaimRecord:
     return rec
 
 
-def _deformed_w2(t1: Fraction = Fraction(1)):
-    base = make_standard_space("W", 2)
-    ring = base.uring
-    z = LaurentPoly.var(ring, 0)
-    u2 = LaurentPoly.var(ring, 2)
-    zero = LaurentPoly.zero(ring)
-    sigma = (zero, z ** -1 * u2, zero)  # the j = 1 tangent cocycle
-    return deform.build_family(base, [sigma], [t1]).perturbed
-
-
-def _deformed_zk(k: int, values: List[Fraction]):
-    base = make_standard_space("Z", k)
-    ring = base.uring
-    z = LaurentPoly.var(ring, 0)
-    zero = LaurentPoly.zero(ring)
-    cocycles = [(zero, z ** (-k + s)) for s in range(1, k)]
-    return deform.build_family(base, cocycles, values)
-
-
 def claim_nonaffine_w2_deformed() -> ClaimRecord:
     rec = ClaimRecord(
         "NonAffine-W2-deformed",
         "H^1 of O(-4) on the t1 = 1 deformation of W_2 contains z^-1; "
         "the deformation is not affine",
     )
-    space = _deformed_w2()
+    space = deform.standard_family("W", 2, {1: Fraction(1)}, jmax=1).perturbed
     bundle = line_bundle(space, -4)
     box = DegreeBox.make(-8, 8, 6, 2, escalation_step=4, stability_rounds=2)
     cls = monomial_class(bundle, 1, (-1, 0, 0))
@@ -409,7 +393,7 @@ def claim_affine_zk_deformed() -> ClaimRecord:
         "every probed window class on the t1 = 1 deformation of Z_2 is an "
         "explicit coboundary (degrees -1, -2, -3)",
     )
-    space = _deformed_zk(2, [Fraction(1)]).perturbed
+    space = deform.standard_family("Z", 2, {1: Fraction(1)}).perturbed
     box = DegreeBox.make(-6, 2, 6, 1)
     report = deform.affineness_probe(space, [-1, -2, -3], box)
     rec.artifacts = report.as_dict()
@@ -432,61 +416,21 @@ def claim_families_glue() -> ClaimRecord:
         "(z^-1, z^k u + t_{k-1} z^{k-1} + ... + t_1 z) glue for symbolic t "
         "and recover the base transition at t = 0",
     )
-    artifacts = {}
-    try:
-        # W_2 family, J <= 4
-        base = make_standard_space("W", 2)
-        ring = base.uring
-        z = LaurentPoly.var(ring, 0)
-        u2 = LaurentPoly.var(ring, 2)
-        zero = LaurentPoly.zero(ring)
-        cocycles = [(zero, z ** -1 * u2 ** j, zero) for j in range(0, 5)]
-        fam = deform.build_family(base, cocycles)
-        artifacts["W2"] = str(fam.perturbed)
-        at0 = fam.at_params([Fraction(0)] * 5).perturbed
-        assert [str(p) for p in at0.transition.forward] == [
-            str(p) for p in base.transition.forward
-        ]
-
-        # W_3 family: t1 pairs with z^-2, t2 with z^-1
-        base3 = make_standard_space("W", 3)
-        r3 = base3.uring
-        z3 = LaurentPoly.var(r3, 0)
-        zero3 = LaurentPoly.zero(r3)
-        fam3 = deform.build_family(
-            base3, [(zero3, z3 ** -2, zero3), (zero3, z3 ** -1, zero3)]
-        )
-        artifacts["W3"] = str(fam3.perturbed)
-        ringf = fam3.perturbed.uring
-        zf = LaurentPoly.var(ringf, 0)
-        u1f = LaurentPoly.var(ringf, 1)
-        t1f = LaurentPoly.var(ringf, 3)
-        t2f = LaurentPoly.var(ringf, 4)
-        want = zf ** 3 * u1f + t2f * zf ** 2 + t1f * zf
-        got = fam3.perturbed.transition.forward[1]
-        assert got == want, str(got)
-        at0 = fam3.at_params([Fraction(0)] * 2).perturbed
-        assert [str(p) for p in at0.transition.forward] == [
-            str(p) for p in base3.transition.forward
-        ]
-
-        # Z_k families
-        for k in (2, 3, 4):
-            basek = make_standard_space("Z", k)
-            rk = basek.uring
-            zerok = LaurentPoly.zero(rk)
-            cocycles_k = [(zerok, LaurentPoly.var(rk, 0, -k + s)) for s in range(1, k)]
-            famk = deform.build_family(basek, cocycles_k)
-            artifacts[f"Z{k}"] = str(famk.perturbed)
-            at0 = famk.at_params([Fraction(0)] * (k - 1)).perturbed
-            assert [str(p) for p in at0.transition.forward] == [
-                str(p) for p in basek.transition.forward
-            ]
-        rec.status = "verified"
-    except AssertionError as exc:
-        rec.status = "failed"
-        rec.notes.append(str(exc) or "family check failed")
-    rec.artifacts = artifacts
+    families = {
+        name: deform.standard_family(name[0], int(name[1:]))
+        for name in ("W2", "W3", "Z2", "Z3", "Z4")
+    }
+    rec.artifacts = {name: str(fam.perturbed) for name, fam in families.items()}
+    for name, fam in families.items():
+        at0 = fam.at_params([Fraction(0)] * len(fam.cocycles)).perturbed
+        if at0.transition.forward != fam.base_space.transition.forward:
+            rec.notes.append(f"the {name} family does not recover the base at t = 0")
+    # W_3: t1 pairs with z^-2, t2 with z^-1
+    w3 = families["W3"].perturbed
+    z, u1, t1, t2 = (LaurentPoly.var(w3.uring, i) for i in (0, 1, 3, 4))
+    if w3.transition.forward[1] != z ** 3 * u1 + t2 * z ** 2 + t1 * z:
+        rec.notes.append(f"W3 family: {w3.transition.forward[1]}")
+    rec.status = "failed" if rec.notes else "verified"
     return rec
 
 
@@ -543,10 +487,12 @@ def claim_cy_determinant() -> ClaimRecord:
     ring_cases = 0
     for _ in range(1000):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
+        ok = ok and (
+            (a + b) + c == a + (b + c)
+            and a * b == b * a
+            and a * (b + c) == a * b + a * c
+            and (a * b) * c == a * (b * c)
+        )
         ring_cases += 1
 
     # rank-nullity and solve re-multiplication
@@ -560,11 +506,11 @@ def claim_cy_determinant() -> ClaimRecord:
                 for _ in range(rows)
             ]
         )
-        assert rank(mat) + len(cokernel_basis(mat)) == rows
+        ok = ok and rank(mat) + len(cokernel_basis(mat)) == rows
         x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         b = mat.mul_vec(x)
         y = solve(mat, b)
-        assert mat.mul_vec(y) == b
+        ok = ok and mat.mul_vec(y) == b
         la_cases += 1
 
     # splitting factorization re-multiplication on random triangular matrices
@@ -584,7 +530,7 @@ def claim_cy_determinant() -> ClaimRecord:
         mat = ((z ** a, off), (LaurentPoly.zero(zring), z ** b))
         st, _witness = splitting_type(mat, with_witness=True)
         # det = z^{a+b}, so the type sums to -(a+b)
-        assert sum(st.degrees) == -(a + b)
+        ok = ok and sum(st.degrees) == -(a + b)
         fact_cases += 1
 
     rec.artifacts = {

@@ -32,12 +32,8 @@ from .bundles import (
 )
 from .cech import DegreeBox, make_class
 from .exprs import parse_poly
-from .ring import InputError, LaurentPoly, RingSig, U_FRAME, V_FRAME
+from .ring import InputError, LaurentPoly, RingSig, U_FRAME, UsageError, V_FRAME
 from .spaces import ChartMap, TwoChartSpace, make_standard_space
-
-
-class UsageError(InputError):
-    pass
 
 
 _SPACE_RE = re.compile(r"^([ZW])(-?\d+)(?:@(.*))?$")
@@ -54,34 +50,10 @@ def parse_space(text: str, space_file: Optional[str] = None) -> TwoChartSpace:
             f"unknown space {text!r}; expected Z<k>, W<k> or a name from --space-file"
         )
     family, k, params = m.group(1), int(m.group(2)), m.group(3)
-    space = make_standard_space(family, k)
     if not params:
-        return space
+        return make_standard_space(family, k)
     values = _parse_params(params)
-    if family == "W" and k == 2:
-        # t_j pairs with the tangent cocycle (0, z^-1 u2^j, 0); t1 = index 1
-        jmax = max(values)
-        ring = space.uring
-        z = LaurentPoly.var(ring, 0)
-        u2 = LaurentPoly.var(ring, 2)
-        zero = LaurentPoly.zero(ring)
-        cocycles = [(zero, z ** -1 * u2 ** j, zero) for j in range(0, jmax + 1)]
-        vals = [values.get(j, Fraction(0)) for j in range(0, jmax + 1)]
-        return deform.build_family(space, cocycles, vals).perturbed
-    if family == "W" and k == 3:
-        ring = space.uring
-        z = LaurentPoly.var(ring, 0)
-        zero = LaurentPoly.zero(ring)
-        cocycles = [(zero, z ** -2, zero), (zero, z ** -1, zero)]  # t1, t2
-        vals = [values.get(1, Fraction(0)), values.get(2, Fraction(0))]
-        return deform.build_family(space, cocycles, vals).perturbed
-    if family == "Z" and k >= 2:
-        ring = space.uring
-        zero = LaurentPoly.zero(ring)
-        cocycles = [(zero, LaurentPoly.var(ring, 0, -k + s)) for s in range(1, k)]
-        vals = [values.get(s, Fraction(0)) for s in range(1, k)]
-        return deform.build_family(space, cocycles, vals).perturbed
-    raise UsageError(f"no standard deformation family for {family}{k}")
+    return deform.standard_family(family, k, values, jmax=max(values)).perturbed
 
 
 def _parse_params(text: str) -> Dict[int, Fraction]:
@@ -441,32 +413,11 @@ def _cmd_deform(args) -> int:
     m = _SPACE_RE.match(args.space)
     if not m or m.group(3):
         raise UsageError("deform expects a plain standard space name (W2, W3, Z<k>)")
-    family, k = m.group(1), int(m.group(2))
-    base = make_standard_space(family, k)
-    ring = base.uring
-    z = LaurentPoly.var(ring, 0)
-    zero = LaurentPoly.zero(ring)
-    if family == "W" and k == 2:
-        u2 = LaurentPoly.var(ring, 2)
-        cocycles = [(zero, z ** -1 * u2 ** j, zero) for j in range(0, args.jmax + 1)]
-    elif family == "W" and k == 3:
-        cocycles = [(zero, z ** -2, zero), (zero, z ** -1, zero)]
-    elif family == "Z" and k >= 2:
-        cocycles = [(zero, z ** (-k + s)) for s in range(1, k)]
-    else:
-        raise UsageError(f"no standard family for {args.space}")
-    values = None
-    if args.assign:
-        parsed = _parse_params(args.assign)
-        unknown = sorted(set(parsed) - set(range(1, len(cocycles) + 1)))
-        if unknown:
-            names = ", ".join(f"t{s + 1}" for s in range(len(cocycles)))
-            raise UsageError(f"the {args.space} family has parameters {names}; no t{unknown[0]}")
-        values = [parsed.get(s + 1, Fraction(0)) for s in range(len(cocycles))]
-    fam = deform.build_family(base, cocycles, values)
+    values = _parse_params(args.assign) if args.assign else None
+    fam = deform.standard_family(m.group(1), int(m.group(2)), values, args.jmax)
     payload = {
-        "base": str(base),
-        "parameters": len(cocycles),
+        "base": str(fam.base_space),
+        "parameters": len(fam.cocycles),
         "symbolic": fam.symbolic,
         "perturbed": str(fam.perturbed),
         "validated": True,

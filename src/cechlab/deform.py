@@ -1,4 +1,4 @@
-"""Deformation families from tangent cocycles, and the affineness probe.
+"""Deformation families, the standard family table and the affineness probe.
 
 A family perturbs the U coordinates by a parameter combination of tangent
 cocycles before applying the diagonal monomial transition:
@@ -14,19 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bundles import line_bundle
 from .cech import (
     CechClass,
+    CechError,
     CechEngine,
     DegreeBox,
     WitnessFound,
     make_class,
     verify_witness,
 )
-from .ring import LaurentPoly, RingSig, U_FRAME, V_FRAME
-from .spaces import ChartMap, TwoChartSpace
+from .ring import LaurentPoly, RingSig, U_FRAME, UsageError, V_FRAME
+from .spaces import ChartMap, TwoChartSpace, make_standard_space
 
 
 class NonInvertiblePerturbation(ValueError):
@@ -37,6 +38,7 @@ class NonInvertiblePerturbation(ValueError):
 class DeformationFamily:
     base_space: TwoChartSpace
     cocycles: List[Tuple[LaurentPoly, ...]]  # tangent-valued, U-frame, base ring
+    labels: List[int]  # cocycle s is the direction of parameter t<labels[s]>
     param_values: Optional[List[Fraction]]  # None = symbolic
     perturbed: TwoChartSpace
 
@@ -48,7 +50,7 @@ class DeformationFamily:
         """Specialize a symbolic family to numeric parameter values."""
         if not self.symbolic:
             raise ValueError("family already numeric")
-        return build_family(self.base_space, self.cocycles, list(values))
+        return build_family(self.base_space, self.cocycles, list(values), self.labels)
 
 
 def _diagonal_factors(space: TwoChartSpace) -> List[LaurentPoly]:
@@ -76,14 +78,16 @@ def build_family(
     space: TwoChartSpace,
     cocycles: Sequence[Sequence[LaurentPoly]],
     param_values: Optional[Sequence[Fraction]] = None,
+    labels: Optional[Sequence[int]] = None,
 ) -> DeformationFamily:
     """Glue the family over the given tangent cocycles.
 
-    ``param_values`` None keeps t_1..t_p symbolic; otherwise the parameters
-    are fixed to the given rationals and the result is an ordinary space.
-    Cocycles must have zero base component (the chart invariant xi = z^-1 is
-    kept) and the perturbed fiber map must invert by triangular
-    back-substitution.
+    ``param_values`` None keeps t_1..t_p symbolic, as positional ring
+    variables; otherwise the parameters are fixed to the given rationals and
+    the result is an ordinary space, named by the ``labels`` (default
+    1..p) of its nonzero parameters.  Cocycles must have zero base component
+    (the chart invariant xi = z^-1 is kept) and the perturbed fiber map must
+    invert by triangular back-substitution.
     """
     if not space.params_numeric:
         raise NonInvertiblePerturbation("base space already carries parameters")
@@ -100,6 +104,7 @@ def build_family(
     numeric = param_values is not None
     if numeric and len(param_values) != p:
         raise ValueError("parameter count mismatch")
+    labels = list(range(1, p + 1)) if labels is None else list(labels)
     nparams = 0 if numeric else p
     uring = RingSig(space.fiber_count, nparams, U_FRAME)
     vring = RingSig(space.fiber_count, nparams, V_FRAME)
@@ -124,19 +129,61 @@ def build_family(
 
     inverse = _invert_triangular(forward, uring, vring)
     chart = ChartMap(tuple(forward), tuple(inverse))
-    suffix = "deformed" if numeric else "family"
     if numeric:
-        vals = ",".join(f"t{s+1}={param_values[s]}" for s in range(p) if param_values[s] != 0)
+        vals = ",".join(f"t{t}={v}" for t, v in zip(labels, param_values) if v != 0)
         name = f"{space.name}[{vals or 't=0'}]"
     else:
-        name = f"{space.name}[{suffix}]"
-    perturbed = TwoChartSpace(
-        name,
-        space.fiber_count,
-        chart,
-        param_values={s: Fraction(v) for s, v in enumerate(param_values)} if numeric else None,
+        name = f"{space.name}[family]"
+    perturbed = TwoChartSpace(name, space.fiber_count, chart)
+    return DeformationFamily(
+        space,
+        [tuple(c) for c in cocycles],
+        labels,
+        list(param_values) if numeric else None,
+        perturbed,
     )
-    return DeformationFamily(space, [tuple(c) for c in cocycles], list(param_values) if numeric else None, perturbed)
+
+
+def standard_family(
+    family: str,
+    k: int,
+    values: Optional[Mapping[int, Fraction]] = None,
+    jmax: int = 4,
+) -> DeformationFamily:
+    """The standard deformation family of W_2, W_3 or Z_k (k >= 2).
+
+    This is the one table of the standard families' tangent cocycles and
+    parameter labels:
+
+    * W_2: t_j pairs with (0, z^-1 u2^j, 0) for j = 0..jmax;
+    * W_3: t1 pairs with (0, z^-2, 0) and t2 with (0, z^-1, 0);
+    * Z_k: t_s pairs with (0, z^(s-k)) for s = 1..k-1.
+
+    ``values`` maps labels to rationals, and a missing label is 0; None
+    keeps the family symbolic, with positional ring variables t1..tp (so
+    in the W_2 family ring variable t_(j+1) multiplies u2^j).  A label the
+    family does not have is a UsageError.
+    """
+    base = make_standard_space(family, k)
+    ring = base.uring
+    z = LaurentPoly.var(ring, 0)
+    zero = LaurentPoly.zero(ring)
+    if family == "W" and k == 2:
+        u2 = LaurentPoly.var(ring, 2)
+        table = {j: (zero, z ** -1 * u2 ** j, zero) for j in range(jmax + 1)}
+    elif family == "W" and k == 3:
+        table = {1: (zero, z ** -2, zero), 2: (zero, z ** -1, zero)}
+    elif family == "Z" and k >= 2:
+        table = {s: (zero, z ** (s - k)) for s in range(1, k)}
+    else:
+        raise UsageError(f"no standard deformation family for {base.name}")
+    if values is not None:
+        unknown = sorted(set(values) - set(table))
+        if unknown:
+            names = ", ".join(f"t{t}" for t in table)
+            raise UsageError(f"the {base.name} family has parameters {names}; no t{unknown[0]}")
+        values = [values.get(t, Fraction(0)) for t in table]
+    return build_family(base, list(table.values()), values, list(table))
 
 
 def _invert_triangular(
@@ -287,7 +334,8 @@ def affineness_probe(
             if not ok:
                 probes.append(DegreeProbe(n, "not-affine", cert, cls, []))
                 break
-            assert verify_witness(bundle, cls, cert)
+            if not verify_witness(bundle, cls, cert):
+                raise CechError(f"coboundary witness for {cls} failed re-validation")
             witnesses.append((cls, cert))
         else:
             probes.append(

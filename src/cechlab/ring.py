@@ -38,6 +38,10 @@ class InputError(ValueError):
     """Bad user input: the command line reports it in one line and exits 2."""
 
 
+class UsageError(InputError):
+    """A malformed argument, or a space, family or parameter that does not exist."""
+
+
 class SignatureError(ValueError):
     """Mixed-ring or mixed-frame arithmetic."""
 

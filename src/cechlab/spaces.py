@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .linalg import QMatrix, nullspace
 from .ring import InputError, LaurentPoly, RingSig, U_FRAME, V_FRAME
@@ -105,7 +105,6 @@ class TwoChartSpace:
     name: str
     fiber_count: int
     transition: ChartMap
-    param_values: Optional[Dict[int, Fraction]] = None  # None means symbolic (or no params)
     _gradings: Optional[List[GradingVector]] = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -10,6 +10,9 @@ analysis; the W2-End-infinite claim attaches the witnesses as its
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -332,3 +335,39 @@ def test_claim_suite_exit_code_and_size(capsys, monkeypatch):
     capsys.readouterr()
     assert cli_main(["verify-paper", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out) == ref["report"]
+
+
+# Each mutation breaks one check a claim's status depends on.  The claims run
+# under ``python -O``, which strips ``assert``: every such check must still
+# turn the claim to ``failed``.
+_MUTATED_CLAIMS = """
+import json, sys
+from cechlab import claims, deform
+
+if __debug__:
+    sys.exit("run this under python -O")
+never = lambda *args: False
+claims.verify_witness = deform.verify_witness = never
+deform.DeformationFamily.at_params = lambda self, values: self
+claims.rank = lambda mat: -1
+ids = ["Affine-Zk-deformed", "W2-End-infinite", "Families-glue", "CY-determinant"]
+code, records = claims.run_claim_suite(ids)
+print(json.dumps({r.claim_id: r.status for r in records}))
+"""
+
+
+def test_claim_checks_hold_without_assert():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _MUTATED_CLAIMS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    statuses = json.loads(proc.stdout)
+    assert statuses == {
+        "Affine-Zk-deformed": "failed",
+        "W2-End-infinite": "failed",
+        "Families-glue": "failed",
+        "CY-determinant": "failed",
+    }

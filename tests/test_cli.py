@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,10 @@ def test_bad_degree_box_is_a_usage_error(capsys, argv):
         ("split-type --matrix z,1;1", None),  # ragged matrix
         ("probe-affine Z2@t1=1 --degrees=x", None),
         ("deform Z2 --set t5=1", None),  # the Z2 family has only t1
+        ("h1 Z2@t5=1", None),
+        ("h1 W3@t3=1", None),  # the W3 family has t1 and t2
+        ("h1 W3@t0=1", None),
+        ("deform W3 --set t0=1", None),
         ("coboundary Z1 --bundle O(-2) --cocycle 1/0*z^-1", None),
         ("ext-verdict Z1 --sub -1 --quot 1 --cocycle z^-2*exp(u) --cutoff -1", None),
         ("coboundary Z1 --bundle O(-2) --cocycle z^-2*exp(u) --exp-cutoff -1", None),
@@ -224,11 +231,49 @@ def test_space_file_with_params(tmp_path):
     ]
 
 
-def test_deformed_space_names():
-    s = parse_space("W2@t1=1")
-    assert [str(p) for p in s.transition.forward] == ["z^-1", "z*u2 + z^2*u1", "u2"]
-    s = parse_space("Z3@t1=1,t2=2")
-    assert [str(p) for p in s.transition.forward] == ["z^-1", "z + 2*z^2 + z^3*u"]
+def test_deformed_space_names(capsys):
+    # a numeric point is named by the labels of its nonzero parameters
+    assert str(parse_space("W2@t1=1")) == "W2[t1=1]: (xi, v...) = (z^-1, z*u2 + z^2*u1, u2)"
+    assert str(parse_space("W2@t0=1")) == "W2[t0=1]: (xi, v...) = (z^-1, z + z^2*u1, u2)"
+    assert str(parse_space("Z3@t1=1,t2=2")) == (
+        "Z3[t1=1,t2=2]: (xi, v...) = (z^-1, z + 2*z^2 + z^3*u)"
+    )
+    assert parse_space("W3@t1=0").name == "W3[t=0]"
+    code, out, _ = run(
+        capsys, "h1", "W2@t1=1", "--l-lo", "-3", "--l-hi", "1", "--fiber-max", "2",
+    )
+    assert code == 0 and "space: W2[t1=1]\n" in out
+    # `deform X --set A` and `X@A` name and build the same space
+    for space, assign in [
+        ("W2", "t0=1"), ("W2", "t1=1"), ("W2", "t0=1/2,t2=-1"), ("W2", "t4=3"), ("W2", "t1=0"),
+        ("W3", "t1=1"), ("W3", "t2=1"), ("W3", "t1=1,t2=-3/4"),
+        ("Z2", "t1=1"), ("Z3", "t2=1/2"), ("Z4", "t1=1,t3=2"),
+    ]:
+        code, out, _ = run(capsys, "deform", space, "--set", assign, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["perturbed"] == str(parse_space(f"{space}@{assign}")), assign
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["h1_window_scan.py", "W2", "-4", "--max-fiber", "2"],
+         "space W2: (xi, v...) = (z^-1, z^2*u1, u2)"),
+        (["moduli_grid.py", "--family", "Z"], "space     j  h1(<=1)  h1-2j  formula ok"),
+    ],
+)
+def test_scripts_exit_0(argv, header):
+    src = str(SCRIPTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0])] + argv[1:],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header
 
 
 # -- fuzzing: a small argv grammar, valid and malformed pieces mixed ---------
