@@ -76,9 +76,6 @@ class TransitionBundle:
         if mat_mul(self.M, self.Minv) != ident or mat_mul(self.Minv, self.M) != ident:
             raise ValueError(f"transition matrix of {self.name or 'bundle'} is not invertible")
 
-    def det(self) -> LaurentPoly:
-        return mat_det(self.M)
-
     def is_monomial_model(self) -> bool:
         """Single-term transition entries and a single-term chart map."""
         for row in list(self.M) + list(self.Minv):

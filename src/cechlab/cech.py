@@ -16,11 +16,14 @@ and beta holomorphic on V.  The engine supports two certification tiers:
 Both tiers run on one graded elimination core.  Component offsets come from
 one solver (``_solve_offsets``) over the relations D[c] - D'[c'] = weight,
 with the full exponent vector as weight on the exact tier and one scalar
-weight per conserved grading on the box tier.  A monomial's part is then its
-torus character (exact) or its grading bucket (box); coboundaries never mix
-parts, so every part is eliminated on its own: ``_greedy_basis`` finds the H1
-basis and ``_decompose_parts`` the witnesses.  The tiers differ only in the
-span of a part: a closed-form finite slice, or all generators of a window.
+weight per conserved grading on the box tier.  Coboundaries never mix the
+parts these weights cut out, so every part is eliminated on its own:
+``_greedy_basis`` finds the H1 basis and ``_decompose_parts`` the witnesses.
+``CechEngine`` writes ``h1``, ``is_coboundary`` and ``reduce`` once, and the
+tier decides four things: a monomial's part (its torus character, or its
+grading bucket); the span source (closed-form finite slices, or all
+generators of a window); the escalation rounds a basis must repeat for
+(none, or ``stability_rounds``); and the certificate (Exact, or StableInBox).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bundles import TransitionBundle
 from .linalg import IncrementalSpan, QMatrix, solve, NoSolution
@@ -57,6 +60,10 @@ class BoxError(CechError, InputError):
     """Class support escapes the degree box."""
 
 
+# enlargements a box-tier basis may take to repeat ``stability_rounds`` times
+MAX_ESCALATIONS = 8
+
+
 def _max_cells() -> int:
     raw = os.environ.get("CECH_MAX_CELLS", "4000000")
     try:
@@ -74,7 +81,6 @@ class DegreeBox:
     fiber_max: Tuple[int, ...]
     escalation_step: int = 4
     stability_rounds: int = 2
-    max_escalations: int = 8
 
     def __post_init__(self):
         if self.base_lo > self.base_hi:
@@ -231,12 +237,10 @@ def _vec_to_class(bundle: TransitionBundle, vec: Vec) -> CechClass:
     return make_class(bundle, [LaurentPoly(ring, t) for t in comps])
 
 
-def _poly_vec(rank: int, polys: Dict[int, LaurentPoly]) -> Vec:
-    out: Vec = {}
-    for c, poly in polys.items():
-        for exp, coeff in poly.terms.items():
-            out[(c, exp)] = out.get((c, exp), Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}
+def _check_in_box(vec: Vec, box: DegreeBox) -> None:
+    for key in vec:
+        if not box.contains_exp(key[1]):
+            raise BoxError(f"class monomial {key} outside the degree box")
 
 
 def _split(vec: Vec, part_of) -> Dict[Tuple[int, ...], Vec]:
@@ -266,8 +270,9 @@ def _greedy_basis(keys: Sequence[Key], part_of, span_of):
     """Greedy monomial basis modulo coboundaries.
 
     Parts in sorted order, the keys of a part in sorted order; a key joins
-    the basis when its ("B", key) row enlarges the span ``span_of(part)``.
-    Returns the basis and, per part met, its span with the B rows inserted.
+    the basis when its ("B", key) row enlarges the span ``span_of(part)``
+    (an empty span when that is None).  Returns the basis and, per part met,
+    its span with the B rows inserted.
     """
     by_part: Dict[Tuple[int, ...], List[Key]] = {}
     for key in keys:
@@ -275,7 +280,7 @@ def _greedy_basis(keys: Sequence[Key], part_of, span_of):
     basis: List[Key] = []
     spans: Dict[Tuple[int, ...], IncrementalSpan] = {}
     for part in sorted(by_part):
-        span = spans[part] = span_of(part)
+        span = spans[part] = span_of(part) or IncrementalSpan()
         for key in sorted(by_part[part]):
             if span.insert({key: Fraction(1)}, ("B", key)):
                 basis.append(key)
@@ -436,6 +441,13 @@ class _ExactModel:
             if vec:
                 gens.append((("V", cp, m, tuple(beta)), vec))
         return gens
+
+    def slice_span(self, chi: Tuple[int, ...]) -> IncrementalSpan:
+        """Span of the coboundary generators meeting the slice."""
+        span = IncrementalSpan()
+        for tag, vec in self.slice_generators(chi):
+            span.insert(vec, tag)
+        return span
 
 
 # -- box window model --------------------------------------------------------
@@ -616,52 +628,50 @@ def verify_witness(bundle: TransitionBundle, cls: CechClass, witness: WitnessFou
 
 
 class CechEngine:
+    """H1, coboundary and reduce queries on one bundle, on either tier.
+
+    The queries are written once; the tier decides four things only:
+
+    * the part key of a monomial: its character slice or its grading bucket;
+    * the span source of a window: character slices built on demand, or
+      every bucket of the window built at once;
+    * the escalation rounds a basis must repeat for: 0, or the box's
+      ``stability_rounds``;
+    * the certificate: ``Exact()`` or ``StableInBox(window, rounds)``.
+    """
+
     def __init__(self, bundle: TransitionBundle):
         validate_numeric(bundle.space)
         self.bundle = bundle
         self.exact = _ExactModel.build(bundle)
         self.box_model = None if self.exact else _BoxModel(bundle)
-        # Pristine per-bucket box spans by window extents (base_lo, base_hi,
-        # fiber_max).  Decompose never mutates them.  A window is kept only
+        # Pristine span sources by window extents (base_lo, base_hi,
+        # fiber_max).  Decompose never mutates a span.  A source is kept only
         # once it has decomposed a class: an escalation that never answers
-        # would otherwise pin every window it passed through.
-        self._window_spans: Dict[Tuple, Dict[Tuple[int, ...], IncrementalSpan]] = {}
+        # would otherwise pin every window it passed through.  On the exact
+        # tier the source builds each slice on demand and holds no span.
+        self._window_spans: Dict[Tuple, Callable] = {}
 
-    # ---- exact mode ----
+    # ---- the tier ----
 
-    def _exact_slice_span(self, chi: Tuple[int, ...]) -> IncrementalSpan:
-        span = IncrementalSpan()
-        for tag, vec in self.exact.slice_generators(chi):
-            span.insert(vec, tag)
-        return span
+    @property
+    def _part_of(self):
+        return self.exact.slice_of if self.exact else self.box_model.bucket_of
 
-    def _exact_basis(self, keys: Sequence[Key]):
-        """Greedy basis of the keys per character slice, with the slice spans."""
-        return _greedy_basis(keys, self.exact.slice_of, self._exact_slice_span)
+    def _span_source(self, window: DegreeBox):
+        """Part key -> span of the coboundary generators in that part, or
+        None when there are none."""
+        if self.exact:
+            return self.exact.slice_span
+        return self._box_spans(window).get
 
-    def _exact_h1(self, box: DegreeBox) -> H1Result:
-        basis, _ = self._exact_basis(window_monomials(box, self.bundle.rank))
-        return _make_h1_result(self.bundle, sorted(basis), Exact(), box)
+    def _rounds(self, box: DegreeBox) -> int:
+        return 0 if self.exact else box.stability_rounds
 
-    def _exact_decompose(self, vec: Vec):
-        """Decompose into coboundary tags; None if some slice obstructs."""
-        return _decompose_parts(_split(vec, self.exact.slice_of), self._exact_slice_span)
+    def _certificate(self, window: DegreeBox, box: DegreeBox):
+        return Exact() if self.exact else StableInBox(window, box.stability_rounds)
 
-    def split_independent(self, keys: Sequence[Key]) -> Tuple[List[Key], List[Key]]:
-        """Exact tier: split monomial classes, given as (0-based component,
-        exponent) keys, into those independent modulo coboundaries and the
-        dependent rest.
-
-        A key is independent when it enlarges the span of its slice's
-        coboundaries and the keys before it (see ``_greedy_basis``).
-        """
-        if self.exact is None:
-            raise CechError("independence of stated classes needs the exact tier")
-        independent, _ = self._exact_basis(keys)
-        kept = set(independent)
-        return independent, [key for key in keys if key not in kept]
-
-    # ---- box mode ----
+    # ---- elimination ----
 
     def _box_spans(self, box: DegreeBox):
         """Per-bucket spans of all window coboundary generators."""
@@ -672,9 +682,8 @@ class CechEngine:
         for tag, vec in gens:
             key = bm.bucket_of(next(iter(vec)))
             sizes[key] = sizes.get(key, 0) + len(vec)
-        monos = window_monomials(box, bm.r)
         mono_buckets: Dict[Tuple[int, ...], int] = {}
-        for key in monos:
+        for key in window_monomials(box, bm.r):
             b = bm.bucket_of(key)
             mono_buckets[b] = mono_buckets.get(b, 0) + 1
         cells = sum(
@@ -688,61 +697,59 @@ class CechEngine:
             keys = {bm.bucket_of(k) for k in vec}
             assert len(keys) == 1, f"generator {tag} not grading-homogeneous"
             buckets.setdefault(keys.pop(), IncrementalSpan()).insert(vec, tag)
-        return buckets, monos
+        return buckets
 
-    def _box_basis(self, box: DegreeBox, inner: DegreeBox):
-        buckets, monos = self._box_spans(box)
-        inside = [key for key in monos if inner.contains_exp(key[1])]
-        return _greedy_basis(
-            inside, self.box_model.bucket_of, lambda b: buckets.setdefault(b, IncrementalSpan())
-        )
+    def _stable_basis(self, box: DegreeBox):
+        """Greedy basis of the box's monomials modulo the coboundaries of a
+        window that starts at the box and escalates until the basis repeats
+        ``self._rounds(box)`` times, within MAX_ESCALATIONS enlargements.
 
-    def _box_stable_basis(self, box: DegreeBox):
-        """Escalate until the in-box basis repeats ``stability_rounds`` times.
-
-        Returns the basis, the final window and that window's spans of the
-        buckets the box meets, which carry a ("B", key) row for every window
-        monomial inside the box.
+        Returns the basis, the final window's spans of the parts the box
+        meets, which carry a ("B", key) row for every box monomial, and the
+        certificate.
         """
-        window = box
-        basis, buckets = self._box_basis(window, box)
-        rounds = 0
-        escalations = 0
-        while rounds < box.stability_rounds:
+        keys = window_monomials(box, self.bundle.rank)
+        window, basis, rounds = box, None, 0
+        for _ in range(MAX_ESCALATIONS + 1):
+            new_basis, spans = _greedy_basis(keys, self._part_of, self._span_source(window))
+            rounds = rounds + 1 if new_basis == basis else 0
+            basis = new_basis
+            if rounds == self._rounds(box):
+                return basis, spans, self._certificate(window, box)
             window = window.escalate()
-            escalations += 1
-            if escalations > box.max_escalations:
-                raise NonFiniteSlice(
-                    "window basis did not stabilize within the escalation budget"
-                )
-            new_basis, buckets = self._box_basis(window, box)
-            if new_basis == basis:
-                rounds += 1
-            else:
-                basis = new_basis
-                rounds = 0
-        return basis, window, buckets
+        raise NonFiniteSlice("window basis did not stabilize within the escalation budget")
 
-    def _box_h1(self, box: DegreeBox) -> H1Result:
-        basis, window, _ = self._box_stable_basis(box)
-        cert = StableInBox(window, box.stability_rounds)
-        return _make_h1_result(self.bundle, sorted(basis), cert, box)
-
-    def _box_decompose(self, vec: Vec, box: DegreeBox):
-        extents = (box.base_lo, box.base_hi, box.fiber_max)
-        buckets = self._window_spans.get(extents)
-        fresh = buckets is None
+    def _decompose(self, vec: Vec, window: DegreeBox):
+        """Decompose into coboundary tags; None if some part obstructs."""
+        extents = (window.base_lo, window.base_hi, window.fiber_max)
+        span_of = self._window_spans.get(extents)
+        fresh = span_of is None
         if fresh:
-            buckets, _ = self._box_spans(box)
-        coeffs = _decompose_parts(_split(vec, self.box_model.bucket_of), buckets.get)
+            span_of = self._span_source(window)
+        coeffs = _decompose_parts(_split(vec, self._part_of), span_of)
         if fresh and coeffs is not None:
-            self._window_spans[extents] = buckets
+            self._window_spans[extents] = span_of
         return coeffs
+
+    def split_independent(self, keys: Sequence[Key]) -> Tuple[List[Key], List[Key]]:
+        """Exact tier: split monomial classes, given as (0-based component,
+        exponent) keys, into those independent modulo coboundaries and the
+        dependent rest.
+
+        A key is independent when it enlarges the span of its slice's
+        coboundaries and the keys before it (see ``_greedy_basis``).
+        """
+        if self.exact is None:
+            raise CechError("independence of stated classes needs the exact tier")
+        independent, _ = _greedy_basis(keys, self.exact.slice_of, self.exact.slice_span)
+        kept = set(independent)
+        return independent, [key for key in keys if key not in kept]
 
     # ---- public operations ----
 
     def h1(self, box: DegreeBox) -> H1Result:
-        return self._exact_h1(box) if self.exact else self._box_h1(box)
+        basis, _, cert = self._stable_basis(box)
+        return _make_h1_result(self.bundle, sorted(basis), cert, box)
 
     def is_coboundary(self, cls: CechClass, box: DegreeBox):
         vec = _class_to_vec(cls)
@@ -752,39 +759,23 @@ class CechEngine:
             zeros_u = tuple(LaurentPoly.zero(ring) for _ in range(self.bundle.rank))
             zeros_v = tuple(LaurentPoly.zero(vring) for _ in range(self.bundle.rank))
             return True, WitnessFound(zeros_u, zeros_v)
-        for key in vec:
-            if not box.contains_exp(key[1]):
-                raise BoxError(f"class monomial {key} outside the degree box")
-        if self.exact:
-            coeffs = self._exact_decompose(vec)
-            if coeffs is None:
-                return False, Exact()
-            return True, _witness_from_tags(self.bundle, coeffs)
+        _check_in_box(vec, box)
         window = box
-        coeffs = self._box_decompose(vec, window)
+        coeffs = self._decompose(vec, window)
         rounds = 0
-        while coeffs is None and rounds < box.stability_rounds:
+        while coeffs is None and rounds < self._rounds(box):
             window = window.escalate()
-            coeffs = self._box_decompose(vec, window)
+            coeffs = self._decompose(vec, window)
             rounds += 1
         if coeffs is None:
-            return False, StableInBox(window, box.stability_rounds)
+            return False, self._certificate(window, box)
         return True, _witness_from_tags(self.bundle, coeffs)
 
     def reduce(self, cls: CechClass, box: DegreeBox) -> ReduceResult:
         vec = _class_to_vec(cls)
-        for key in vec:
-            if not box.contains_exp(key[1]):
-                raise BoxError(f"class monomial {key} outside the degree box")
-        if self.exact:
-            _, spans = self._exact_basis(window_monomials(box, self.bundle.rank))
-            parts = _split(vec, self.exact.slice_of)
-            cert = Exact()
-        else:
-            _, window, spans = self._box_stable_basis(box)
-            parts = _split(vec, self.box_model.bucket_of)
-            cert = StableInBox(window, box.stability_rounds)
-        coeffs = _decompose_parts(parts, spans.get)
+        _check_in_box(vec, box)
+        _, spans, cert = self._stable_basis(box)
+        coeffs = _decompose_parts(_split(vec, self._part_of), spans.get)
         assert coeffs is not None  # the spans carry a B row for every class key
         rep_vec: Vec = {}
         wit_coeffs: Dict = {}
@@ -797,24 +788,15 @@ class CechEngine:
         witness = _witness_from_tags(self.bundle, wit_coeffs)
         return ReduceResult(representative, witness, cert)
 
-    def coboundary_generators(self, box: DegreeBox, containment: str = "meets"):
-        """List window coboundary generators.
-
-        ``within``: support inside the box.  ``meets`` (listing default):
-        generators enumerated inside the box enlarged by one escalation step
-        whose support intersects the box.
-        """
+    def coboundary_generators(self, box: DegreeBox):
+        """List the window coboundary generators that meet the box: those
+        enumerated inside the box enlarged by one escalation step whose
+        support intersects the box."""
         bm = self.box_model if self.box_model else _BoxModel(self.bundle)
-        if containment == "within":
-            gens = bm.u_generators(box) + bm.v_generators(box)
-        elif containment == "meets":
-            big = box.escalate()
-            gens = bm.u_generators(box)
-            for tag, vec in bm.v_generators(big):
-                if any(box.contains_exp(key[1]) for key in vec):
-                    gens.append((tag, vec))
-        else:
-            raise ValueError("containment must be 'within' or 'meets'")
+        gens = bm.u_generators(box)
+        for tag, vec in bm.v_generators(box.escalate()):
+            if any(box.contains_exp(key[1]) for key in vec):
+                gens.append((tag, vec))
         return [(_tag_public(tag), _vec_to_class(self.bundle, vec)) for tag, vec in gens]
 
 
@@ -863,5 +845,5 @@ def reduce_class(bundle: TransitionBundle, cls: CechClass, box: DegreeBox) -> Re
     return CechEngine(bundle).reduce(cls, box)
 
 
-def coboundary_generators(bundle: TransitionBundle, box: DegreeBox, containment: str = "meets"):
-    return CechEngine(bundle).coboundary_generators(box, containment)
+def coboundary_generators(bundle: TransitionBundle, box: DegreeBox):
+    return CechEngine(bundle).coboundary_generators(box)

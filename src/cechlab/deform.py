@@ -25,6 +25,7 @@ from .cech import (
     WitnessFound,
     make_class,
     verify_witness,
+    window_monomials,
 )
 from .ring import LaurentPoly, RingSig, U_FRAME, UsageError, V_FRAME
 from .spaces import ChartMap, TwoChartSpace, make_standard_space
@@ -162,8 +163,10 @@ def standard_family(
     ``values`` maps labels to rationals, and a missing label is 0; None
     keeps the family symbolic, with positional ring variables t1..tp (so
     in the W_2 family ring variable t_(j+1) multiplies u2^j).  A label the
-    family does not have is a UsageError.
+    family does not have, or a negative ``jmax``, is a UsageError.
     """
+    if jmax < 0:
+        raise UsageError(f"jmax must be >= 0, got {jmax}")
     base = make_standard_space(family, k)
     ring = base.uring
     z = LaurentPoly.var(ring, 0)
@@ -322,14 +325,10 @@ def affineness_probe(
             continue
         witnesses = []
         ring = space.uring
-        from itertools import product
-
-        f = space.fiber_count
-        ranges = [range(box.base_lo, 0)] + [
-            range(0, box.fiber_max[j] + 1) for j in range(f)
-        ]
-        for combo in product(*ranges):
-            cls = make_class(bundle, [LaurentPoly.monomial(ring, combo)])
+        for _, exp in window_monomials(box, 1):
+            if exp[0] >= 0:
+                continue
+            cls = make_class(bundle, [LaurentPoly.monomial(ring, exp)])
             ok, cert = engine.is_coboundary(cls, box)
             if not ok:
                 probes.append(DegreeProbe(n, "not-affine", cert, cls, []))

@@ -173,13 +173,12 @@ class IncrementalSpan:
         # pivot -> (primitive integer row, integer tag combination, denominator)
         self._rows: Dict[Hashable, Tuple[Dict, Dict, int]] = {}
 
-    def _reduce(self, vec: Dict, tag: Hashable) -> Tuple[Dict, Optional[Dict], int]:
+    def _reduce(self, vec: Dict, tag: Hashable) -> Tuple[Dict, Dict, int]:
         """Reduce ``vec`` against the rows.
 
         Returns ``(v, combo, den)``: the primitive integer residual ``v`` and
         integer coefficients with ``den * v = sum(combo[t] * gen[t])``, where
-        ``gen[tag]`` is ``vec`` itself.  With ``tag`` None no combination is
-        tracked and ``combo`` is None.
+        ``gen[tag]`` is ``vec`` itself.
         """
         dens = [x.denominator for x in vec.values()]
         scale = lcm(*dens)
@@ -188,7 +187,7 @@ class IncrementalSpan:
         if den != 1:
             for k in v:
                 v[k] //= den
-        combo = None if tag is None else {tag: scale}
+        combo = {tag: scale}
         rows = self._rows
         while v:
             pivot = min(v)
@@ -211,14 +210,13 @@ class IncrementalSpan:
                     v[k] = y
                 else:
                     del v[k]
-            if combo is not None:
-                mul, sub = b * row_den, a * den
-                if mul != 1:
-                    for t in combo:
-                        combo[t] *= mul
-                for t, x in row_combo.items():
-                    combo[t] = combo.get(t, 0) - sub * x
-                den *= row_den
+            mul, sub = b * row_den, a * den
+            if mul != 1:
+                for t in combo:
+                    combo[t] *= mul
+            for t, x in row_combo.items():
+                combo[t] = combo.get(t, 0) - sub * x
+            den *= row_den
             if v:
                 g = gcd(*v.values())
                 if g != 1:
@@ -238,10 +236,6 @@ class IncrementalSpan:
             den //= g
         self._rows[min(residual)] = (residual, combo, den)
         return True
-
-    def contains(self, vec: Dict) -> bool:
-        residual, _, _ = self._reduce(vec, None)
-        return not residual
 
     def decompose(self, vec: Dict) -> Optional[Dict]:
         """Coefficients {tag: c} with vec = sum c * inserted[tag], or None."""

@@ -96,9 +96,6 @@ class RingSig:
         other = V_FRAME if self.frame == U_FRAME else U_FRAME
         return RingSig(self.fibers, self.params, other)
 
-    def drop_params(self) -> "RingSig":
-        return RingSig(self.fibers, 0, self.frame)
-
 
 def _accumulate(out: Dict[Exponent, Fraction], terms: Mapping[Exponent, Fraction]) -> None:
     """Add ``terms`` into ``out`` in place, deleting the sums that vanish."""
@@ -289,9 +286,6 @@ class LaurentPoly:
         """Terms in the canonical monomial order: lex on (base, fibers, params)."""
         return sorted(self.terms.items())
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
-
     def base_range(self) -> Tuple[int, int]:
         """(min, max) base-variable exponent; (0, 0) for the zero polynomial."""
         if not self.terms:
@@ -308,20 +302,10 @@ class LaurentPoly:
             return 0
         return min(self.fiber_degree(e) for e in self.terms)
 
-    def max_fiber_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.fiber_degree(e) for e in self.terms)
-
     def min_var_degree(self, idx: int) -> int:
         if not self.terms:
             return 0
         return min(e[idx] for e in self.terms)
-
-    def max_var_degree(self, idx: int) -> int:
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
 
     def fiber_component(self, degree: int) -> "LaurentPoly":
         """Part of the polynomial with total fiber degree exactly ``degree``."""

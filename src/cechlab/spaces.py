@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import QMatrix, nullspace
@@ -122,9 +123,6 @@ class TwoChartSpace:
     def params_numeric(self) -> bool:
         return self.uring.params == 0
 
-    def forward_image(self, i: int) -> LaurentPoly:
-        return self.transition.forward[i]
-
     def gradings(self) -> List[GradingVector]:
         if self._gradings is None:
             self._gradings = grading_lattice(self)
@@ -201,14 +199,9 @@ def grading_lattice(space: TwoChartSpace) -> List[GradingVector]:
         basis = nullspace(QMatrix(constraints))
     out = []
     for vec in basis:
-        mult = 1
-        for x in vec:
-            d = x.denominator
-            mult = mult * d // _gcd(mult, d)
+        mult = lcm(*(x.denominator for x in vec))
         ints = [int(x * mult) for x in vec]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
+        g = gcd(*ints)
         if g > 1:
             ints = [x // g for x in ints]
         # sign normalization: first nonzero entry positive
@@ -219,12 +212,6 @@ def grading_lattice(space: TwoChartSpace) -> List[GradingVector]:
                 break
         out.append(GradingVector(tuple(ints)))
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
 
 
 # -- Hirzebruch-embedding identity verifier ---------------------------------

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from cechlab import cech
 from cechlab.bundles import end_bundle, line_bundle, tangent_bundle
 from cechlab.cech import (
     BoxError,
     CechEngine,
     DegreeBox,
     Exact,
+    NonFiniteSlice,
     StableInBox,
     SymbolicParameterError,
     WitnessFound,
@@ -175,13 +178,48 @@ def test_h1_exact_matches_brute_force_oracle():
 
 
 def test_exact_and_box_modes_agree_on_monomial_models():
-    # force the windowed path on an exact-capable bundle
+    # force the windowed path on exact-capable bundles: the same H1 basis,
+    # the same coboundary verdicts and the same reduce representatives
+    cases = [
+        (("Z", -1), -2, (-5, 1, 3)),
+        (("Z", 2), -3, (-5, 1, 3)),
+        (("W", 2), -4, (-3, 1, 1)),
+        (("W", 3), -2, (-3, 1, 1)),
+    ]
+    verdicts = set()
+    for (family, k), n, (lo, hi, fm) in cases:
+        space = make_standard_space(family, k)
+        bundle = line_bundle(space, n)
+        box = DegreeBox.make(lo, hi, fm, space.fiber_count)
+        exact, boxed = CechEngine(bundle), _box_tier(bundle)
+        box_res = boxed.h1(box)
+        assert box_res.generator_keys() == exact.h1(box).generator_keys()
+        assert isinstance(box_res.certification, StableInBox)
+        rng = random.Random(7)
+        monos = window_monomials(box, bundle.rank)
+        for _ in range(10):
+            picks = rng.sample(monos, rng.randint(1, 3))
+            terms = {exp: Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)) for _, exp in picks}
+            cls = make_class(bundle, [LaurentPoly(space.uring, terms)])
+            ok, cert = exact.is_coboundary(cls, box)
+            ok_box, cert_box = boxed.is_coboundary(cls, box)
+            assert ok_box == ok, (bundle.name, cls)
+            if not ok:
+                assert isinstance(cert, Exact) and isinstance(cert_box, StableInBox)
+            red, red_box = exact.reduce(cls, box), boxed.reduce(cls, box)
+            assert red_box.representative.components == red.representative.components
+            assert red.representative.is_zero() == ok
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_box_tier_escalation_budget(monkeypatch):
     bundle = line_bundle(make_standard_space("Z", -1), -2)
     box = DegreeBox.make(-5, 1, 3, 1)
-    exact_res = h1(bundle, box)
-    box_res = _box_tier(bundle).h1(box)
-    assert box_res.generator_keys() == exact_res.generator_keys()
-    assert isinstance(box_res.certification, StableInBox)
+    monkeypatch.setattr(cech, "MAX_ESCALATIONS", 0)
+    with pytest.raises(NonFiniteSlice):
+        _box_tier(bundle).h1(box)
+    assert isinstance(CechEngine(bundle).h1(box).certification, Exact)  # never escalates
 
 
 # -- is_coboundary --------------------------------------------------------------
@@ -479,7 +517,7 @@ def test_exact_reduce_matches_full_window_reference():
         box = DegreeBox.make(lo, hi, fm, bundle.space.fiber_count)
         engine = CechEngine(bundle)
         monos = window_monomials(box, bundle.rank)
-        _, spans = _greedy_basis(monos, engine.exact.slice_of, engine._exact_slice_span)
+        _, spans = _greedy_basis(monos, engine.exact.slice_of, engine.exact.slice_span)
         # every window monomial alone, then all of them at once
         vecs = [{key: Fraction(1)} for key in monos]
         vecs.append({key: Fraction(n + 1, 3) for n, key in enumerate(monos)})

@@ -167,6 +167,8 @@ def test_bad_degree_box_is_a_usage_error(capsys, argv):
         ("h1 W3@t3=1", None),  # the W3 family has t1 and t2
         ("h1 W3@t0=1", None),
         ("deform W3 --set t0=1", None),
+        ("deform W2 --jmax -1", None),
+        ("deform W2 --jmax -1 --set t1=1", None),
         ("coboundary Z1 --bundle O(-2) --cocycle 1/0*z^-1", None),
         ("ext-verdict Z1 --sub -1 --quot 1 --cocycle z^-2*exp(u) --cutoff -1", None),
         ("coboundary Z1 --bundle O(-2) --cocycle z^-2*exp(u) --exp-cutoff -1", None),

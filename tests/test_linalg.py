@@ -161,7 +161,6 @@ def test_integer_span_matches_fraction_reference(steps):
             for k, x in history[j % len(history)].items():
                 member[k] = member.get(k, Fraction(0)) + c * x
         for query in (member, noise, {**member, **noise}):
-            assert span.contains(query) == ref.contains(as_fractions(query))
             got, want = span.decompose(query), ref.decompose(as_fractions(query))
             assert (got is None) == (want is None)
             if got is not None:
