@@ -9,6 +9,10 @@ and beta holomorphic on V.  The engine supports two certification tiers:
   space is finite, is enumerated completely, and the answer carries no
   truncation loss.  "Not a coboundary" is a proof in this mode, even against
   infinite holomorphic witnesses, because any witness splits into slices.
+  Every coboundary generator is then one monomial per component, so a
+  slice's generators are built in closed form from exponent sums and
+  coefficient products, with the fiber weight matrix inverted once as an
+  integer matrix over one denominator (see ``_ExactModel``).
 * StableInBox: truncated windows with escalation; "is a coboundary" answers
   always come with an explicit witness (exact by construction), "is not"
   answers are stable under the configured number of window enlargements.
@@ -24,6 +28,9 @@ tier decides four things: a monomial's part (its torus character, or its
 grading bucket); the span source (closed-form finite slices, or all
 generators of a window); the escalation rounds a basis must repeat for
 (none, or ``stability_rounds``); and the certificate (Exact, or StableInBox).
+A basis with no rounds to repeat is certified part by part, so ``reduce``
+then builds only the parts its class meets; a box-tier basis is certified
+by the whole window repeating, so there ``reduce`` builds every part.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bundles import TransitionBundle
@@ -58,6 +66,11 @@ class SymbolicParameterError(CechError):
 
 class BoxError(CechError, InputError):
     """Class support escapes the degree box."""
+
+
+class EscalationBudgetError(NonFiniteSlice, BoxError):
+    """The box asks for more stability rounds than MAX_ESCALATIONS window
+    enlargements can give, so no window could certify it."""
 
 
 # enlargements a box-tier basis may take to repeat ``stability_rounds`` times
@@ -359,6 +372,12 @@ def _term_weight(poly: LaurentPoly, nv: int) -> Tuple[int, ...]:
     return exp[:nv]
 
 
+def _single_term(poly: LaurentPoly) -> Tuple[Tuple[int, ...], Fraction]:
+    """The (exponent, coefficient) of a single-term polynomial."""
+    ((exp, coeff),) = poly.terms.items()
+    return exp, coeff
+
+
 class _ExactModel:
     """Full-torus character bookkeeping for monomial-model bundles.
 
@@ -366,6 +385,16 @@ class _ExactModel:
     single-term entry, weight(M[c'][c]) = D[c] - D'[c'] and
     weight(Minv[c][c']) = D'[c'] - D[c]; then every coboundary generator is
     homogeneous and each character slice holds at most rank-many monomials.
+
+    Slices are built in closed form, by exponent and integer arithmetic
+    alone.  In component c the V generator for (c', m, beta) is the single
+    term Minv[c][c'] * z^-m * prod_i (v_i o forward)^beta_i: its exponent is
+    the sum of the factors' exponents and its coefficient the product of
+    their coefficients, beta_i times for the i-th fiber image.  beta solves
+    G * beta = the fiber part of chi - D'[c'], G being the fiber weight
+    matrix of the v-images, and is kept only when it is a nonnegative
+    integer vector; the model holds G^-1 as an integer matrix over one
+    positive denominator, so that test is a divisibility and a sign check.
     """
 
     def __init__(self, bundle: TransitionBundle, offsets, g_inv: QMatrix):
@@ -373,9 +402,19 @@ class _ExactModel:
         self.nv = 1 + bundle.space.fiber_count
         self.r = bundle.rank
         self.offsets_u, self.offsets_v = offsets
-        self.v_weights = [_term_weight(p, self.nv) for p in bundle.space.transition.forward]
-        # inverse of the fiber weight matrix G of the v-images
-        self.g_inv = g_inv
+        # exponent zeros of every variable after the base
+        self.zeros_after_base = (0,) * (bundle.space.uring.nvars - 1)
+        # (exponent, coefficient) of each fiber image v_i o forward
+        self.fwd_terms = [_single_term(p) for p in bundle.space.transition.forward[1:]]
+        # per V component c', (c, exponent, coefficient) of each nonzero Minv[c][c']
+        self.minv_terms = [
+            [(c, *_single_term(bundle.Minv[c][cp])) for c in range(self.r)
+             if not bundle.Minv[c][cp].is_zero()]
+            for cp in range(self.r)
+        ]
+        # G^-1 = g_num / g_den with g_den the lcm of its denominators
+        self.g_den = lcm(*[x.denominator for row in g_inv.rows for x in row])
+        self.g_num = [[int(x * self.g_den) for x in row] for row in g_inv.rows]
 
     @staticmethod
     def build(bundle: TransitionBundle) -> Optional["_ExactModel"]:
@@ -415,29 +454,26 @@ class _ExactModel:
         for c, exp in self.slice_members(chi):
             if exp[0] >= 0:
                 gens.append((("U", c, exp), {(c, exp): Fraction(1)}))
-        ring = self.bundle.space.uring
-        fwd = self.bundle.space.transition.forward
-        for cp in range(self.r):
-            target = tuple(x - d for x, d in zip(chi, self.offsets_v[cp]))
-            beta = self.g_inv.mul_vec(target[1:])
-            if any(b.denominator != 1 or b < 0 for b in beta):
+        for cp, column in enumerate(self.minv_terms):
+            target = [x - d for x, d in zip(chi, self.offsets_v[cp])]
+            scaled = [sum(a * t for a, t in zip(row, target[1:])) for row in self.g_num]
+            if any(s < 0 or s % self.g_den for s in scaled):
                 continue
-            beta = [int(b) for b in beta]
-            m = sum(b * self.v_weights[1 + i][0] for i, b in enumerate(beta)) - target[0]
+            beta = [s // self.g_den for s in scaled]
+            m = sum(b * exp[0] for b, (exp, _) in zip(beta, self.fwd_terms)) - target[0]
             if m < 0:
                 continue
-            factor = LaurentPoly.var(ring, 0, -m)
-            for i, b in enumerate(beta):
+            # the factor z^-m * prod_i (v_i o forward)^beta_i
+            factor_exp = (-m,) + self.zeros_after_base
+            factor_coeff = Fraction(1)
+            for b, (exp, coeff) in zip(beta, self.fwd_terms):
                 if b:
-                    factor = factor * fwd[1 + i] ** b
-            vec: Vec = {}
-            for c in range(self.r):
-                entry = self.bundle.Minv[c][cp]
-                if entry.is_zero():
-                    continue
-                poly = entry * factor
-                for exp, coeff in poly.terms.items():
-                    vec[(c, exp)] = coeff
+                    factor_exp = tuple(x + b * y for x, y in zip(factor_exp, exp))
+                    factor_coeff *= coeff ** b
+            vec: Vec = {
+                (c, tuple(x + y for x, y in zip(exp, factor_exp))): coeff * factor_coeff
+                for c, exp, coeff in column
+            }
             if vec:
                 gens.append((("V", cp, m, tuple(beta)), vec))
         return gens
@@ -699,19 +735,29 @@ class CechEngine:
             buckets.setdefault(keys.pop(), IncrementalSpan()).insert(vec, tag)
         return buckets
 
-    def _stable_basis(self, box: DegreeBox):
+    def _stable_basis(self, box: DegreeBox, parts=None):
         """Greedy basis of the box's monomials modulo the coboundaries of a
         window that starts at the box and escalates until the basis repeats
         ``self._rounds(box)`` times, within MAX_ESCALATIONS enlargements.
 
         Returns the basis, the final window's spans of the parts the box
         meets, which carry a ("B", key) row for every box monomial, and the
-        certificate.
+        certificate.  Given ``parts`` and no rounds to repeat, only the box
+        monomials in those parts are eliminated: ``_greedy_basis`` treats
+        each part on its own, so their spans come out as in the full box.
         """
+        if self._rounds(box) > MAX_ESCALATIONS:
+            raise EscalationBudgetError(
+                f"stability_rounds {box.stability_rounds} needs more than the "
+                f"{MAX_ESCALATIONS} window enlargements allowed"
+            )
+        part_of = self._part_of
         keys = window_monomials(box, self.bundle.rank)
+        if parts is not None and self._rounds(box) == 0:
+            keys = [key for key in keys if part_of(key) in parts]
         window, basis, rounds = box, None, 0
         for _ in range(MAX_ESCALATIONS + 1):
-            new_basis, spans = _greedy_basis(keys, self._part_of, self._span_source(window))
+            new_basis, spans = _greedy_basis(keys, part_of, self._span_source(window))
             rounds = rounds + 1 if new_basis == basis else 0
             basis = new_basis
             if rounds == self._rounds(box):
@@ -774,8 +820,9 @@ class CechEngine:
     def reduce(self, cls: CechClass, box: DegreeBox) -> ReduceResult:
         vec = _class_to_vec(cls)
         _check_in_box(vec, box)
-        _, spans, cert = self._stable_basis(box)
-        coeffs = _decompose_parts(_split(vec, self._part_of), spans.get)
+        parts = _split(vec, self._part_of)
+        _, spans, cert = self._stable_basis(box, parts)
+        coeffs = _decompose_parts(parts, spans.get)
         assert coeffs is not None  # the spans carry a B row for every class key
         rep_vec: Vec = {}
         wit_coeffs: Dict = {}

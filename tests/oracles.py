@@ -3,12 +3,15 @@
 These deliberately avoid the engine's slicing machinery: plain window
 enumeration, dict-based Gaussian elimination over Fraction, and global
 section counting for splitting types.  ``FractionSpan`` is the rational
-reference for the integer-row ``IncrementalSpan``.
+reference for the integer-row ``IncrementalSpan``, and
+``poly_slice_generators`` the polynomial reference for the closed-form
+``_ExactModel.slice_generators``.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from cechlab.linalg import QMatrix, solve
 from cechlab.ring import LaurentPoly
 
 
@@ -76,6 +79,49 @@ class FractionSpan:
     @property
     def dim(self):
         return len(self._rows)
+
+
+def poly_slice_generators(model, chi):
+    """Reference for ``_ExactModel.slice_generators``: each V generator is
+    built as the product Minv[c][c'] * z^-m * prod_i (v_i o forward)^beta_i
+    of ``LaurentPoly`` values, with beta = G^-1 * target in ``Fraction``
+    arithmetic and G^-1 solved afresh from the forward map."""
+    bundle = model.bundle
+    nv = model.nv
+    f = nv - 1
+    ring = bundle.space.uring
+    fwd = bundle.space.transition.forward
+    v_weights = [next(iter(p.terms))[:nv] for p in fwd]
+    g = QMatrix([[v_weights[1 + i][1 + j] for i in range(f)] for j in range(f)])
+    g_inv = QMatrix([solve(g, [int(i == j) for i in range(f)]) for j in range(f)]).transpose()
+    gens = []
+    for c, exp in model.slice_members(chi):
+        if exp[0] >= 0:
+            gens.append((("U", c, exp), {(c, exp): Fraction(1)}))
+    for cp in range(model.r):
+        target = tuple(x - d for x, d in zip(chi, model.offsets_v[cp]))
+        beta = g_inv.mul_vec(target[1:])
+        if any(b.denominator != 1 or b < 0 for b in beta):
+            continue
+        beta = [int(b) for b in beta]
+        m = sum(b * v_weights[1 + i][0] for i, b in enumerate(beta)) - target[0]
+        if m < 0:
+            continue
+        factor = LaurentPoly.var(ring, 0, -m)
+        for i, b in enumerate(beta):
+            if b:
+                factor = factor * fwd[1 + i] ** b
+        vec = {}
+        for c in range(model.r):
+            entry = bundle.Minv[c][cp]
+            if entry.is_zero():
+                continue
+            poly = entry * factor
+            for exp, coeff in poly.terms.items():
+                vec[(c, exp)] = coeff
+        if vec:
+            gens.append((("V", cp, m, tuple(beta)), vec))
+    return gens
 
 
 def brute_h1_keys(bundle, lo, hi, fmax, margin=8):

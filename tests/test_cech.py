@@ -31,10 +31,11 @@ from cechlab.cech import (
     window_monomials,
 )
 from cechlab.deform import build_family
+from cechlab.linalg import IncrementalSpan
 from cechlab.ring import LaurentPoly, exp_trunc
 from cechlab.spaces import make_standard_space
 
-from oracles import brute_h1_keys
+from oracles import brute_h1_keys, poly_slice_generators
 
 
 def _deformed(family, k, t1=Fraction(1)):
@@ -220,6 +221,12 @@ def test_box_tier_escalation_budget(monkeypatch):
     with pytest.raises(NonFiniteSlice):
         _box_tier(bundle).h1(box)
     assert isinstance(CechEngine(bundle).h1(box).certification, Exact)  # never escalates
+    # rounds within the budget, but the basis changes at the one enlargement
+    monkeypatch.setattr(cech, "MAX_ESCALATIONS", 1)
+    tw2 = tangent_bundle(make_standard_space("W", 2))
+    box = DegreeBox.make(-3, 0, 1, 2, escalation_step=1, stability_rounds=1)
+    with pytest.raises(NonFiniteSlice, match="did not stabilize"):
+        _box_tier(tw2).h1(box)
 
 
 # -- is_coboundary --------------------------------------------------------------
@@ -505,6 +512,13 @@ def _full_window_reduce(engine, spans, vec):
     return {k: v for k, v in rep.items() if v != 0}, _witness_from_tags(engine.bundle, wit)
 
 
+def _oracle_span(model, chi):
+    span = IncrementalSpan()
+    for tag, vec in poly_slice_generators(model, chi):
+        span.insert(vec, tag)
+    return span
+
+
 def test_exact_reduce_matches_full_window_reference():
     cases = [
         (line_bundle(make_standard_space("Z", -1), -2), -6, 1, 3),
@@ -517,7 +531,9 @@ def test_exact_reduce_matches_full_window_reference():
         box = DegreeBox.make(lo, hi, fm, bundle.space.fiber_count)
         engine = CechEngine(bundle)
         monos = window_monomials(box, bundle.rank)
-        _, spans = _greedy_basis(monos, engine.exact.slice_of, engine.exact.slice_span)
+        _, spans = _greedy_basis(
+            monos, engine.exact.slice_of, lambda chi: _oracle_span(engine.exact, chi)
+        )
         # every window monomial alone, then all of them at once
         vecs = [{key: Fraction(1)} for key in monos]
         vecs.append({key: Fraction(n + 1, 3) for n, key in enumerate(monos)})
@@ -567,3 +583,63 @@ def test_end_of_transposed_tangent_jacobian_carries_every_stated_family():
     res = h1(end_bundle(e_prime), DegreeBox.make(-4, -1, (1, 5), 2))
     assert set(res.generator_keys()) == stated
     assert isinstance(res.certification, Exact)
+
+
+# -- the closed-form exact tier -------------------------------------------------
+
+
+@pytest.mark.parametrize("family, k", [("Z", -1), ("Z", 1), ("Z", 2), ("Z", 3),
+                                       ("W", 1), ("W", 2), ("W", 3)])
+def test_closed_form_slices_match_polynomial_oracle(family, k):
+    from itertools import product
+
+    space = make_standard_space(family, k)
+    tangent = tangent_bundle(space)
+    for bundle in (line_bundle(space, -2), line_bundle(space, 3), tangent, end_bundle(tangent)):
+        model = CechEngine(bundle).exact
+        assert model is not None
+        fiber = [range(-3, 6)] * space.fiber_count
+        for chi in product(range(-7, 5), *fiber):
+            got = [(tag, list(vec.items())) for tag, vec in model.slice_generators(chi)]
+            want = [(tag, list(vec.items())) for tag, vec in poly_slice_generators(model, chi)]
+            assert repr(got) == repr(want), (bundle.name, chi)
+
+
+def _count_slice_spans(monkeypatch):
+    built = []
+    real = cech._ExactModel.slice_span
+
+    def counting(self, chi):
+        built.append(chi)
+        return real(self, chi)
+
+    monkeypatch.setattr(cech._ExactModel, "slice_span", counting)
+    return built
+
+
+def test_exact_reduce_builds_only_the_slices_its_class_meets(monkeypatch):
+    built = _count_slice_spans(monkeypatch)
+    bundle = tangent_bundle(make_standard_space("W", 2))
+    box = DegreeBox.make(-4, 1, 3, 2)
+    engine = CechEngine(bundle)
+    res = engine.reduce(monomial_class(bundle, 2, (-1, 1, 2)), box)
+    assert isinstance(res.certification, Exact)
+    assert len(built) == 1
+    keys = [(0, (-3, 0, 1)), (1, (-1, 1, 2)), (2, (-2, 2, 0)), (1, (0, 3, 3))]
+    chis = {engine.exact.slice_of(key) for key in keys}
+    assert len(chis) == len(keys)
+    built.clear()
+    engine.reduce(_vec_to_class(bundle, {key: Fraction(1) for key in keys}), box)
+    assert sorted(built) == sorted(chis)
+
+
+def test_exact_h1_makes_no_polynomial_products(monkeypatch):
+    bundle = tangent_bundle(make_standard_space("W", 2))
+
+    def forbidden(*args):
+        raise AssertionError("polynomial arithmetic in the exact tier")
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(LaurentPoly, name, forbidden)
+    res = CechEngine(bundle).h1(DegreeBox.make(-4, 1, 2, 2))
+    assert res.dim > 0 and isinstance(res.certification, Exact)

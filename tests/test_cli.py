@@ -173,6 +173,9 @@ def test_bad_degree_box_is_a_usage_error(capsys, argv):
         ("ext-verdict Z1 --sub -1 --quot 1 --cocycle z^-2*exp(u) --cutoff -1", None),
         ("coboundary Z1 --bundle O(-2) --cocycle z^-2*exp(u) --exp-cutoff -1", None),
         ("verify-paper --claims ,", None),  # names no claim
+        # more stability rounds than the 8 window enlargements can give
+        ("h1 Z2@t1=1 --bundle O(-2) --l-lo -2 --l-hi 0 --fiber-max 1 "
+         "--escalation-step 1 --stability-rounds 9", None),
     ],
 )
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, tmp_path, argv, max_cells):
@@ -184,6 +187,11 @@ def test_bad_input_is_a_one_line_error(capsys, monkeypatch, tmp_path, argv, max_
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stability_rounds_beyond_the_budget_are_ignored_on_the_exact_tier(capsys):
+    code, out, _ = run(capsys, "h1", "W2", "--bundle", "tangent", "--stability-rounds", "9")
+    assert code == 0 and "kind: Exact" in out
 
 
 def test_readme_cli_examples_exit_0(capsys, tmp_path):
