@@ -528,98 +528,65 @@ class _BoxModel:
 
     def v_generators(self, box: DegreeBox):
         """V-side generators Minv * (V-monomial o forward) whose support lies
-        inside the window.
+        inside the window: tags (c', m, beta) in the order c', then beta with
+        beta_0 slowest, then m rising.
 
-        Enumeration bounds come from exact degree-interval arithmetic on the
-        entries of Minv and the forward transition: base-width, total fiber
-        degree and per-variable fiber degree are all additive under products,
-        so each constraint is monotone in the V-exponents.  A fiber image
-        with zero width and zero fiber degree would admit unboundedly many
-        window generators and raises NonFiniteSlice.
+        Window membership is decided by integer arithmetic on degrees before
+        any product is formed.  The Laurent ring is a domain, so the least and
+        greatest base exponent of a product, and its greatest exponent in
+        each fiber variable, are the sums of its factors' (the coordinate
+        extents of a Minkowski sum of Newton polytopes).  Let lo, hi and
+        top[j] be these extents of the column Minv[.][c'] times
+        prod_i (v_i o forward)^beta_i; xi^m shifts the base by -m.  The
+        vector lies in the window iff top[j] <= fiber_max[j] for every j and
+        max(hi - base_hi, 0) <= m <= lo - base_lo, which needs
+        hi - lo <= base_hi - base_lo.  A step of beta_i adds the width and
+        tops of v_i o forward, all >= 0, so a beta prefix failing the width
+        or a fiber test cannot be extended.  The walk ends because every
+        fiber image has positive degree in some fiber variable:
+        ``validate_transition`` rejects an image without one, since
+        inverse o forward could not then be the identity.
         """
-        space = self.space
-        ring = space.uring
-        f = space.fiber_count
-        fwd = space.transition.forward
-        width = []
-        minfib = []
-        minvar = []
-        for i in range(f):
-            p = fwd[1 + i]
-            zmin, zmax = p.base_range()
-            width.append(zmax - zmin)
-            minfib.append(p.min_fiber_degree())
-            minvar.append([p.min_var_degree(1 + j) for j in range(f)])
-            if width[-1] == 0 and minfib[-1] == 0:
-                raise NonFiniteSlice(
-                    f"fiber image {p} admits unbounded window generators"
-                )
+        f = self.space.fiber_count
+        fwd = self.space.transition.forward[1:]
+        width = box.base_hi - box.base_lo
+
+        def extents(polys):
+            exps = [e for p in polys for e in p.terms]
+            return (
+                min(e[0] for e in exps),
+                max(e[0] for e in exps),
+                [max(e[1 + j] for e in exps) for j in range(f)],
+            )
+
+        steps = [extents([p]) for p in fwd]
+        minv = self.bundle.Minv
         gens = []
-        win_width = box.base_hi - box.base_lo
-        fib_budget = sum(box.fiber_max)
         for cp in range(self.r):
-            col = [self.bundle.Minv[c][cp] for c in range(self.r)]
-            rows = [c for c in range(self.r) if not col[c].is_zero()]
-            ecol_width = max(col[c].base_range()[1] - col[c].base_range()[0] for c in rows)
-            ecol_minfib = max(col[c].min_fiber_degree() for c in rows)
-            ecol_minvar = [
-                max(col[c].min_var_degree(1 + j) for c in rows) for j in range(f)
-            ]
+            col = [(c, minv[c][cp]) for c in range(self.r) if not minv[c][cp].is_zero()]
 
-            def rec(i: int, beta: List[int]):
+            def walk(i, beta, factor, lo, hi, top):
                 if i == f:
-                    factor = LaurentPoly.const(ring, 1)
-                    for j, bb in enumerate(beta):
-                        if bb:
-                            factor = factor * fwd[1 + j] ** bb
-                    self._emit(gens, cp, rows, col, beta, factor, box)
+                    ms = range(max(hi - box.base_hi, 0), lo - box.base_lo + 1)
+                    polys = [(c, entry * factor) for c, entry in col] if ms else []
+                    for m in ms:
+                        vec: Vec = {
+                            (c, (e[0] - m,) + e[1:]): coeff
+                            for c, p in polys for e, coeff in p.terms.items()
+                        }
+                        gens.append((("V", cp, m, beta), vec))
                     return
+                step_lo, step_hi, step_top = steps[i]
                 b = 0
-                while True:
-                    trial = beta + [b]
-                    if sum(bb * width[j] for j, bb in enumerate(trial)) + ecol_width > win_width:
-                        break
-                    if sum(bb * minfib[j] for j, bb in enumerate(trial)) + ecol_minfib > fib_budget:
-                        break
-                    bad = False
-                    for j in range(f):
-                        s = sum(bb * minvar[jj][j] for jj, bb in enumerate(trial))
-                        if s + ecol_minvar[j] > box.fiber_max[j]:
-                            bad = True
-                            break
-                    if bad:
-                        break
-                    rec(i + 1, trial)
-                    b += 1
-                    if b > 4 * (win_width + fib_budget) + 8:
-                        raise NonFiniteSlice("enumeration bound exceeded")
+                while hi - lo <= width and all(t <= fm for t, fm in zip(top, box.fiber_max)):
+                    if b:
+                        factor = factor * fwd[i]
+                    walk(i + 1, beta + (b,), factor, lo, hi, top)
+                    lo, hi, b = lo + step_lo, hi + step_hi, b + 1
+                    top = [t + s for t, s in zip(top, step_top)]
 
-            rec(0, [])
+            walk(0, (), LaurentPoly.const(self.space.uring, 1), *extents(p for _, p in col))
         return gens
-
-    def _emit(self, gens, cp, rows, col, beta, factor, box):
-        polys = {c: col[c] * factor for c in rows}
-        zmaxes = [p.base_range()[1] for p in polys.values()]
-        zmins = [p.base_range()[0] for p in polys.values()]
-        m_lo = max(max(zmaxes) - box.base_hi, 0)
-        m_hi = min(zmins) - box.base_lo
-        if m_hi < m_lo:
-            return
-        for m in range(m_lo, m_hi + 1):
-            vec: Vec = {}
-            ok = True
-            for c, p in polys.items():
-                for exp, coeff in p.terms.items():
-                    e = (exp[0] - m,) + exp[1:]
-                    if not box.contains_exp(e):
-                        ok = False
-                        break
-                    vec[(c, e)] = coeff
-                if not ok:
-                    break
-            if not ok or not vec:
-                continue
-            gens.append((("V", cp, m, tuple(beta)), vec))
 
 
 # -- witnesses ---------------------------------------------------------------

@@ -266,9 +266,7 @@ class DegreeProbe:
         out = {
             "degree": self.degree,
             "verdict": self.verdict,
-            "certification": self.certification.as_dict()
-            if hasattr(self.certification, "as_dict")
-            else str(self.certification),
+            "certification": self.certification.as_dict(),
         }
         if self.witness_class is not None:
             out["witnessClass"] = str(self.witness_class)

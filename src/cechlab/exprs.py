@@ -82,7 +82,6 @@ def _tokenize(text: str):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
             if text[pos:].strip():
-                col = pos + len(text[pos:]) - len(text[pos:].lstrip()) + 1
                 raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos + 1)
             break
         if m.group("num"):

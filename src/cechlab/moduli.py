@@ -171,7 +171,6 @@ def extension_verdict(
     quot_deg: int,
     class_rep: LaurentPoly,
     cutoff: int,
-    box: Optional[DegreeBox] = None,
 ) -> ExtensionVerdict:
     """Classify the extension class p in H^1(space, O(sub_deg - quot_deg)).
 
@@ -183,12 +182,9 @@ def extension_verdict(
     """
     trunc = class_rep.truncate_fiber(cutoff)
     bundle = line_bundle(space, sub_deg - quot_deg)
-    if box is None:
-        lo, hi = trunc.base_range()
-        margin = abs(sub_deg - quot_deg) + cutoff + 2
-        box = DegreeBox.make(
-            min(lo, -margin), max(hi, 2), cutoff, space.fiber_count
-        )
+    lo, hi = trunc.base_range()
+    margin = abs(sub_deg - quot_deg) + cutoff + 2
+    box = DegreeBox.make(min(lo, -margin), max(hi, 2), cutoff, space.fiber_count)
     cls = make_class(bundle, [trunc])
     res = CechEngine(bundle).reduce(cls, box)
     red = res.representative.components[0]
@@ -231,17 +227,15 @@ class ModuliDimReport:
         }
 
 
-def first_neighborhood_dim(space: TwoChartSpace, j: int, box: Optional[DegreeBox] = None) -> int:
+def first_neighborhood_dim(space: TwoChartSpace, j: int) -> int:
     """Dimension of the classes in H^1(space, O(-2j)) with total fiber degree <= 1."""
     if j < 1:
         raise InputError("j must be >= 1")
     bundle = line_bundle(space, -2 * j)
-    if box is None:
-        spread = max(
-            abs(p.base_range()[0]) + abs(p.base_range()[1])
-            for p in space.transition.forward
-        )
-        box = DegreeBox.make(-(2 * j + spread + 2), 2, 1, space.fiber_count)
+    spread = max(
+        abs(p.base_range()[0]) + abs(p.base_range()[1]) for p in space.transition.forward
+    )
+    box = DegreeBox.make(-(2 * j + spread + 2), 2, 1, space.fiber_count)
     res = CechEngine(bundle).h1(box)
     f = space.fiber_count
     count = 0
@@ -266,7 +260,7 @@ def generic_moduli_dim(space: TwoChartSpace, j: int) -> ModuliDimReport:
         formula = 4 * j - 5
     else:
         if k is None:
-            raise ValueError("surface formula needs a standard Z_k space")
+            raise InputError("surface formula needs a standard Z_k space")
         formula = 2 * j - k - 2
     return ModuliDimReport(
         space.name,

@@ -297,16 +297,6 @@ class LaurentPoly:
         f = self.ring.fibers
         return sum(exp[1 : 1 + f])
 
-    def min_fiber_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return min(self.fiber_degree(e) for e in self.terms)
-
-    def min_var_degree(self, idx: int) -> int:
-        if not self.terms:
-            return 0
-        return min(e[idx] for e in self.terms)
-
     def fiber_component(self, degree: int) -> "LaurentPoly":
         """Part of the polynomial with total fiber degree exactly ``degree``."""
         return LaurentPoly._unchecked(

@@ -171,27 +171,18 @@ def make_standard_space(family: str, k: int) -> TwoChartSpace:
 def grading_lattice(space: TwoChartSpace) -> List[GradingVector]:
     """Basis of integer weight vectors making every transition monomial homogeneous.
 
-    For each transition entry all exponent differences between its terms must
-    be annihilated; parameters carry weight zero.  The result is deterministic
-    (reduced basis scaled to primitive integer vectors).
+    For each forward image all exponent differences between its terms must
+    be annihilated; parameters carry weight zero.  The inverse images add no
+    constraint: in U coordinates each is a bare variable, as
+    ``validate_transition`` checks.  The result is deterministic (reduced
+    basis scaled to primitive integer vectors).
     """
     nv = 1 + space.fiber_count
     constraints: List[List[Fraction]] = []
-
-    def add_entry_constraints(poly: LaurentPoly):
+    for poly in space.transition.forward:
         exps = [e[: nv] for e in poly.terms]
         for other in exps[1:]:
-            constraints.append(
-                [Fraction(a - b) for a, b in zip(exps[0], other)]
-            )
-
-    for poly in space.transition.forward:
-        add_entry_constraints(poly)
-    # V-side entries constrain the induced V weights; with a homogeneous
-    # forward map these are automatic, but we recheck them directly through
-    # composition back to U coordinates.
-    for poly in space.transition.inverse:
-        add_entry_constraints(space.transition.to_u_frame(poly))
+            constraints.append([Fraction(a - b) for a, b in zip(exps[0], other)])
 
     if not constraints:
         basis = [[Fraction(int(i == j)) for j in range(nv)] for i in range(nv)]

@@ -3,14 +3,16 @@
 These deliberately avoid the engine's slicing machinery: plain window
 enumeration, dict-based Gaussian elimination over Fraction, and global
 section counting for splitting types.  ``FractionSpan`` is the rational
-reference for the integer-row ``IncrementalSpan``, and
+reference for the integer-row ``IncrementalSpan``,
 ``poly_slice_generators`` the polynomial reference for the closed-form
-``_ExactModel.slice_generators``.
+``_ExactModel.slice_generators``, and ``brute_v_generators`` the
+term-by-term reference for the degree-pruned ``_BoxModel.v_generators``.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from cechlab.cech import DegreeBox
 from cechlab.linalg import QMatrix, solve
 from cechlab.ring import LaurentPoly
 
@@ -124,28 +126,63 @@ def poly_slice_generators(model, chi):
     return gens
 
 
-def brute_h1_keys(bundle, lo, hi, fmax, margin=8):
-    """H1-in-box basis keys by brute force over an enlarged working window.
+def brute_v_generators(bundle, window):
+    """Reference for ``_BoxModel.v_generators``: the (tag, vector) pairs of
+    every Minv * (xi^m v^beta o forward) whose support lies in the window,
+    in the order c', then beta with beta_0 slowest, then m rising.
 
-    U generators: all working-window monomials with l >= 0.  V generators:
-    all Minv * (xi^m v^beta o forward) over a generous cap, kept when the
-    support stays inside the working window (inner box enlarged by
-    ``margin``).  Then a greedy sweep over the inner-box monomials.
+    Each product is formed from ``LaurentPoly`` powers and every term is
+    checked against the window.  beta_i runs up to the largest fiber cap:
+    every fiber image has positive degree in some fiber variable (the chart
+    maps are mutually inverse), so a larger beta_i leaves the window.  For
+    each beta the xi power only shifts the support, so its range is read off
+    the support bounds instead of looped over.
     """
     space = bundle.space
     ring = space.uring
     f = space.fiber_count
     r = bundle.rank
     fwd = space.transition.forward
+    lo, hi, fmax = window.base_lo, window.base_hi, window.fiber_max
+
+    def inside(exp):
+        return lo <= exp[0] <= hi and all(exp[1 + j] <= fmax[j] for j in range(f))
+
+    gens = []
+    for cp in range(r):
+        cols = [c for c in range(r) if not bundle.Minv[c][cp].is_zero()]
+        for beta in product(range(max(fmax) + 1), repeat=f):
+            factor = LaurentPoly.const(ring, 1)
+            for i, b in enumerate(beta):
+                if b:
+                    factor = factor * fwd[1 + i] ** b
+            polys = {c: bundle.Minv[c][cp] * factor for c in cols}
+            zmax = max(p.base_range()[1] for p in polys.values())
+            zmin = min(p.base_range()[0] for p in polys.values())
+            for m in range(max(0, zmax - hi), zmin - lo + 1):
+                vec = {
+                    (c, (exp[0] - m,) + exp[1:]): coeff
+                    for c, p in polys.items()
+                    for exp, coeff in p.terms.items()
+                }
+                if all(inside(exp) for _, exp in vec):
+                    gens.append((("V", cp, m, beta), vec))
+    return gens
+
+
+def brute_h1_keys(bundle, lo, hi, fmax, margin=8):
+    """H1-in-box basis keys by brute force over an enlarged working window.
+
+    U generators: all working-window monomials with l >= 0.  V generators:
+    ``brute_v_generators`` of the working window (inner box enlarged by
+    ``margin``).  Then a greedy sweep over the inner-box monomials.
+    """
+    f = bundle.space.fiber_count
+    r = bundle.rank
     if isinstance(fmax, int):
         fmax = (fmax,) * f
     wlo, whi = lo - margin, hi + margin
     wfib = tuple(fm + margin for fm in fmax)
-
-    def in_working(exp):
-        if not wlo <= exp[0] <= whi:
-            return False
-        return all(exp[1 + j] <= wfib[j] for j in range(f))
 
     rows = {}
     # U side
@@ -154,36 +191,8 @@ def brute_h1_keys(bundle, lo, hi, fmax, margin=8):
             range(max(0, wlo), whi + 1), *[range(0, fm + 1) for fm in wfib]
         ):
             _insert(rows, {(c, tuple(combo)): Fraction(1)})
-    # V side: for each fiber exponent pattern the xi power only shifts the
-    # support, so it is read off the support bounds instead of looped over
-    for cp in range(r):
-        cols = [c for c in range(r) if not bundle.Minv[c][cp].is_zero()]
-        for beta in product(*[range(0, fm + fm2 + 3) for fm, fm2 in zip(wfib, wfib)]):
-            factor = LaurentPoly.const(ring, 1)
-            for i, b in enumerate(beta):
-                if b:
-                    factor = factor * fwd[1 + i] ** b
-            polys = {c: bundle.Minv[c][cp] * factor for c in cols}
-            if any(p.is_zero() for p in polys.values()):
-                continue
-            if min(p.min_fiber_degree() for p in polys.values()) > sum(wfib):
-                continue
-            zmax = max(p.base_range()[1] for p in polys.values())
-            zmin = min(p.base_range()[0] for p in polys.values())
-            for m in range(max(0, zmax - whi), zmin - wlo + 1):
-                vec = {}
-                ok = True
-                for c, p in polys.items():
-                    for exp, coeff in p.terms.items():
-                        e = (exp[0] - m,) + exp[1:]
-                        if not in_working(e):
-                            ok = False
-                            break
-                        vec[(c, e)] = vec.get((c, e), Fraction(0)) + coeff
-                    if not ok:
-                        break
-                if ok and vec:
-                    _insert(rows, vec)
+    for _, vec in brute_v_generators(bundle, DegreeBox(wlo, whi, wfib)):
+        _insert(rows, vec)
     basis = []
     for c in range(r):
         for combo in product(range(lo, hi + 1), *[range(0, fm + 1) for fm in fmax]):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cechlab import cech
-from cechlab.bundles import end_bundle, line_bundle, tangent_bundle
+from cechlab.bundles import end_bundle, extension_bundle, line_bundle, tangent_bundle
 from cechlab.cech import (
     BoxError,
     CechEngine,
@@ -30,12 +30,12 @@ from cechlab.cech import (
     verify_witness,
     window_monomials,
 )
-from cechlab.deform import build_family
+from cechlab.deform import build_family, standard_family
 from cechlab.linalg import IncrementalSpan
 from cechlab.ring import LaurentPoly, exp_trunc
-from cechlab.spaces import make_standard_space
+from cechlab.spaces import ChartMap, TwoChartSpace, make_standard_space
 
-from oracles import brute_h1_keys, poly_slice_generators
+from oracles import brute_h1_keys, brute_v_generators, poly_slice_generators
 
 
 def _deformed(family, k, t1=Fraction(1)):
@@ -121,6 +121,40 @@ def test_u_generators_are_themselves():
             (exp,) = list(cls.components[0].terms)
             assert list(exp) == tag["exponents"]
             assert exp[0] >= 0
+
+
+@pytest.mark.parametrize(
+    "family, k, values",
+    [("W", 2, {1: 1}), ("W", 3, {1: 1, 2: 2}), ("Z", 2, {1: 1}), ("Z", 3, {1: 1, 2: 1})],
+)
+def test_window_generators_match_term_by_term_oracle(family, k, values):
+    space = standard_family(family, k, values, jmax=max(values)).perturbed
+    z, u = LaurentPoly.var(space.uring, 0), LaurentPoly.var(space.uring, 1)
+    ext = extension_bundle(space, -1, 1, z ** -1 * u + 2 * z ** -2)
+    assert len(ext.Minv[0][1].terms) == 2
+    count = 0
+    for bundle in (line_bundle(space, -4), line_bundle(space, 0), tangent_bundle(space), ext):
+        for lo, hi, fm in ((-4, 1, 2), (-2, 2, 3), (0, 3, 1)):
+            box = DegreeBox.make(lo, hi, fm, space.fiber_count)
+            got = _BoxModel(bundle).v_generators(box)
+            assert got == brute_v_generators(bundle, box), (bundle.name, box)
+            count += len(got)
+    assert count > 0
+
+
+def test_translated_fiber_has_finite_window_generators():
+    # Z0 with its fiber translated, v = u + 1: the fiber image has zero base
+    # width and zero least fiber degree, yet only its top degree matters
+    z0 = make_standard_space("Z", 0)
+    z, u = (LaurentPoly.var(z0.uring, i) for i in range(2))
+    xi, v = (LaurentPoly.var(z0.vring, i) for i in range(2))
+    space = TwoChartSpace("Z0+1", 1, ChartMap((z ** -1, u + 1), (xi ** -1, v - 1)))
+    box = DegreeBox.make(-4, 1, 2, 1)
+    bundle = line_bundle(space, -3)
+    assert _BoxModel(bundle).v_generators(box) == brute_v_generators(bundle, box)
+    res = h1(bundle, box)
+    assert isinstance(res.certification, StableInBox)
+    assert res.generator_keys() == h1(line_bundle(z0, -3), box).generator_keys()
 
 
 # -- h1, exact mode -------------------------------------------------------------

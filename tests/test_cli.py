@@ -157,6 +157,7 @@ def test_bad_degree_box_is_a_usage_error(capsys, argv):
         ("coboundary Z1 --bundle O(-2) --cocycle exp(z)", None),  # series of a constant
         ("coboundary bad --space-file {cfg} --bundle O(-2) --cocycle z^-1", None),
         ("moduli-dim W2 --j 0", None),
+        ("moduli-dim Z2@t1=1 --j 1", None),  # no surface formula off the standard Z_k
         ("hirzebruch 0", None),
         ("coboundary W2@t1=1 --bundle O(-4) --cocycle z^-1", "abc"),
         ("h1 Z2@t1=1/0 --bundle O(-2)", None),  # zero denominator
@@ -224,6 +225,22 @@ def test_space_file(tmp_path, capsys):
     # rank-1 bundle wants exactly one component; trailing comma is tolerated
     assert code == 0
     assert "isCoboundary: False" in out
+
+
+def test_translated_fiber_space_file_answers_like_z0(tmp_path, capsys):
+    # v = u + 1: Z0 with its fiber translated, a fiber image of zero base
+    # width and zero least fiber degree
+    cfg = tmp_path / "spaces.cfg"
+    cfg.write_text("name = z0shift\nforward = z^-1, u + 1\ninverse = xi^-1, v - 1\n")
+    box = ["--bundle", "O(-3)", "--l-lo", "-4", "--l-hi", "1", "--fiber-max", "2"]
+    code, out, _ = run(
+        capsys, "h1", "z0shift", "--space-file", str(cfg), *box, "--format", "json"
+    )
+    assert code == 0
+    code_z0, out_z0, _ = run(capsys, "h1", "Z0", *box, "--format", "json")
+    assert code_z0 == 0
+    generators = json.loads(out)["generators"]
+    assert len(generators) == 6 and generators == json.loads(out_z0)["generators"]
 
 
 def test_space_file_with_params(tmp_path):

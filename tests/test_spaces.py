@@ -7,6 +7,7 @@ from cechlab.ring import LaurentPoly, RingSig
 from cechlab.spaces import (
     ChartMap,
     CompositionError,
+    TwoChartSpace,
     grading_lattice,
     hirzebruch_verify,
     make_standard_space,
@@ -41,6 +42,17 @@ def test_wrong_inverse_rejected():
     chart = ChartMap((z ** -1, z ** 2 * u), (xi ** -1, xi * v))
     with pytest.raises(CompositionError):
         validate_transition(chart)
+
+
+def test_fiber_image_without_fiber_variable_rejected():
+    # window generator enumeration ends only because every fiber image has
+    # positive degree in some fiber variable; an image in z alone cannot be
+    # inverted, so construction already rejects it
+    uring, vring = RingSig(1, 0, "U"), RingSig(1, 0, "V")
+    z, xi = LaurentPoly.var(uring, 0), LaurentPoly.var(vring, 0)
+    chart = ChartMap((z ** -1, z ** 2), (xi ** -1, xi ** -2))
+    with pytest.raises(CompositionError):
+        TwoChartSpace("no-fiber", 1, chart)
 
 
 def test_deformed_w2_chart_identity():
