@@ -43,7 +43,7 @@ from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bundles import TransitionBundle
-from .linalg import IncrementalSpan, QMatrix, solve, NoSolution
+from .linalg import IncrementalSpan, NoSolution, solve
 from .ring import InputError, LaurentPoly
 from .spaces import TwoChartSpace
 
@@ -397,7 +397,7 @@ class _ExactModel:
     positive denominator, so that test is a divisibility and a sign check.
     """
 
-    def __init__(self, bundle: TransitionBundle, offsets, g_inv: QMatrix):
+    def __init__(self, bundle: TransitionBundle, offsets, g_inv: Sequence[Sequence[Fraction]]):
         self.bundle = bundle
         self.nv = 1 + bundle.space.fiber_count
         self.r = bundle.rank
@@ -413,8 +413,8 @@ class _ExactModel:
             for cp in range(self.r)
         ]
         # G^-1 = g_num / g_den with g_den the lcm of its denominators
-        self.g_den = lcm(*[x.denominator for row in g_inv.rows for x in row])
-        self.g_num = [[int(x * self.g_den) for x in row] for row in g_inv.rows]
+        self.g_den = lcm(*[x.denominator for row in g_inv for x in row])
+        self.g_num = [[int(x * self.g_den) for x in row] for row in g_inv]
 
     @staticmethod
     def build(bundle: TransitionBundle) -> Optional["_ExactModel"]:
@@ -429,12 +429,12 @@ class _ExactModel:
         # inverted through G, so G must be nonsingular
         fwd = bundle.space.transition.forward
         f = nv - 1
-        g = QMatrix([[_term_weight(fwd[1 + i], nv)[1 + j] for i in range(f)] for j in range(f)])
+        g = [[_term_weight(fwd[1 + i], nv)[1 + j] for i in range(f)] for j in range(f)]
         try:
             g_inv_cols = [solve(g, [int(i == j) for i in range(f)]) for j in range(f)]
         except NoSolution:
             return None
-        return _ExactModel(bundle, offsets, QMatrix(g_inv_cols).transpose())
+        return _ExactModel(bundle, offsets, list(zip(*g_inv_cols)))
 
     def slice_of(self, key: Key) -> Tuple[int, ...]:
         c, exp = key

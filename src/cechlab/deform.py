@@ -27,7 +27,7 @@ from .cech import (
     verify_witness,
     window_monomials,
 )
-from .ring import LaurentPoly, RingSig, U_FRAME, UsageError, V_FRAME
+from .ring import InputError, LaurentPoly, RingSig, U_FRAME, UsageError, V_FRAME
 from .spaces import ChartMap, TwoChartSpace, make_standard_space
 
 
@@ -301,8 +301,10 @@ def affineness_probe(
     A certified-nonzero class proves non-affineness (affine spaces have no
     higher coherent cohomology); an all-zero window only reports that no
     obstruction was found, with an explicit coboundary witness per window
-    class.
+    class.  An empty ``degrees`` is an InputError, since it checks nothing.
     """
+    if not degrees:
+        raise InputError("no degree to probe")
     probes = []
     for n in degrees:
         bundle = line_bundle(space, n)

@@ -1,12 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse eliminator.
 
-Dense elimination is fraction-free (Bareiss one-step division scheme) on an
-integer-scaled copy of the matrix, with a fixed first-nonzero pivot rule, so
-rank, solutions and complement bases are deterministic.  A sparse incremental
-eliminator with witness tracking backs the cohomology engine.  It is
-fraction-free too: its rows are primitive integer vectors, and each row's
-witness is an integer tag combination over one positive denominator, turned
-into ``Fraction`` coefficients only when ``decompose`` returns them.
+``IncrementalSpan`` is fraction-free: its rows are primitive integer
+vectors, and each row's witness is an integer tag combination over one
+positive denominator, turned into ``Fraction`` coefficients only when
+``decompose`` returns them.  It backs the cohomology engine, and the dense
+kernels below run on it too: they take a matrix as a list of rows and
+insert its columns (for ``cokernel_basis``, its rows) in order, tagged by
+index.  The independent ones are then the first maximal independent set in
+that order, the pivot columns of row reduction, and free variables are set
+to zero, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -14,142 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-
-class QMatrix:
-    """Dense rational matrix; rows of Fractions."""
-
-    def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("ragged matrix")
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def mul_vec(self, vec: Sequence[Fraction]) -> List[Fraction]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum((r[j] * vec[j] for j in range(self.ncols)), Fraction(0)) for r in self.rows]
-
-
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    out = []
-    for row in rows:
-        mult = 1
-        for x in row:
-            d = Fraction(x).denominator
-            mult = mult * d // gcd(mult, d)
-        out.append([int(Fraction(x) * mult) for x in row])
-    return out
-
-
-def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free row echelon; returns (echelon rows, pivot column list)."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: List[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):  # fixed first-nonzero pivot rule
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (piv * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(mat: QMatrix) -> int:
-    _, pivots = _bareiss(_integer_rows(mat.rows))
-    return len(pivots)
-
-
-class NoSolution(Exception):
-    """The linear system has no solution."""
-
-
-def solve(mat: QMatrix, b: Sequence[Fraction]) -> List[Fraction]:
-    """One exact solution of mat * x = b, or raise :class:`NoSolution`.
-
-    Free variables, if any, are set to zero (deterministic).
-    """
-    if len(b) != mat.nrows:
-        raise ValueError("dimension mismatch")
-    aug = [list(row) + [Fraction(v)] for row, v in zip(mat.rows, b)]
-    ech, pivots = _bareiss(_integer_rows(aug))
-    n = mat.ncols
-    if n in pivots:
-        raise NoSolution("inconsistent system")
-    x = [Fraction(0)] * n
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        s = Fraction(ech[r][n])
-        for j in range(c + 1, n):
-            s -= ech[r][j] * x[j]
-        x[c] = s / ech[r][c]
-    # rows beyond the pivot count must be consistent
-    for r in range(len(pivots), len(ech)):
-        if ech[r][n] != 0:
-            raise NoSolution("inconsistent system")
-    return x
-
-
-def nullspace(mat: QMatrix) -> List[List[Fraction]]:
-    """Deterministic basis of the right kernel."""
-    ech, pivots = _bareiss(_integer_rows(mat.rows))
-    n = mat.ncols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = Fraction(0)
-            for j in range(c + 1, n):
-                s -= ech[r][j] * x[j]
-            x[c] = s / ech[r][c]
-        basis.append(x)
-    return basis
-
-
-def cokernel_basis(mat: QMatrix) -> List[List[Fraction]]:
-    """Standard basis vectors spanning a complement of the column space.
-
-    Eliminates the columns (rows of the transpose); the non-pivot coordinates
-    of the ambient space index the complement.  rank + len(result) = nrows.
-    """
-    _, pivots = _bareiss(_integer_rows(mat.transpose().rows))
-    out = []
-    for i in range(mat.nrows):
-        if i not in pivots:
-            e = [Fraction(0)] * mat.nrows
-            e[i] = Fraction(1)
-            out.append(e)
-    return out
-
 
 class IncrementalSpan:
     """Sparse exact span with membership witnesses.
@@ -250,3 +116,77 @@ class IncrementalSpan:
     @property
     def dim(self) -> int:
         return len(self._rows)
+
+
+# -- dense kernels -----------------------------------------------------------
+
+Rows = Sequence[Sequence[Fraction]]
+
+
+def _column_span(rows: Rows) -> Tuple[IncrementalSpan, int]:
+    """The span of the columns, each tagged by its index, and their number."""
+    span = IncrementalSpan()
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        span.insert(dict(enumerate(col)), j)
+    return span, len(cols)
+
+
+def rank(rows: Rows) -> int:
+    return _column_span(rows)[0].dim
+
+
+class NoSolution(Exception):
+    """The linear system has no solution."""
+
+
+def solve(rows: Rows, b: Sequence[Fraction]) -> List[Fraction]:
+    """One exact solution of rows * x = b, or raise :class:`NoSolution`.
+
+    Free variables, if any, are set to zero (deterministic).
+    """
+    if len(b) != len(rows):
+        raise ValueError("dimension mismatch")
+    span, ncols = _column_span(rows)
+    coeffs = span.decompose(dict(enumerate(b)))
+    if coeffs is None:
+        raise NoSolution("inconsistent system")
+    return [coeffs.get(j, Fraction(0)) for j in range(ncols)]
+
+
+def nullspace(rows: Rows) -> List[List[Fraction]]:
+    """Basis of the right kernel: one vector per column j that depends on
+    the columns before it, in column order.
+
+    The vector is e_j minus the decomposition of column j over the
+    independent columns, so it is 1 at j and 0 at every other dependent
+    column and at every column after j.
+    """
+    cols = [dict(enumerate(col)) for col in zip(*rows)]
+    span = IncrementalSpan()
+    basis = []
+    for j, col in enumerate(cols):
+        if span.insert(col, j):
+            continue
+        x = [Fraction(0)] * len(cols)
+        x[j] = Fraction(1)
+        for t, c in span.decompose(col).items():
+            x[t] = -c
+        basis.append(x)
+    return basis
+
+
+def cokernel_basis(rows: Rows) -> List[List[Fraction]]:
+    """Standard basis vectors spanning a complement of the column space:
+    e_i for each row i that depends on the rows before it.
+
+    rank + len(result) = len(rows).
+    """
+    span = IncrementalSpan()
+    out = []
+    for i, row in enumerate(rows):
+        if not span.insert(dict(enumerate(row)), i):
+            e = [Fraction(0)] * len(rows)
+            e[i] = Fraction(1)
+            out.append(e)
+    return out

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 from .bundles import Matrix, mat_mul
 from .cech import CechClass, CechEngine, DegreeBox, make_class
 from .bundles import line_bundle
-from .linalg import QMatrix, nullspace
+from .linalg import nullspace
 from .ring import InputError, LaurentPoly, RingSig
 from .spaces import TwoChartSpace
 
@@ -102,7 +102,7 @@ def splitting_type(matrix: Matrix, with_witness: bool = False):
 
     while True:
         degs = [col_deg(j) for j in range(r)]
-        lead = QMatrix([[lead_coeff(i, j, degs[j]) for j in range(r)] for i in range(r)])
+        lead = [[lead_coeff(i, j, degs[j]) for j in range(r)] for i in range(r)]
         kernel = nullspace(lead)  # dependencies among the leading column vectors
         if not kernel:
             break

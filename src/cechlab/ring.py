@@ -14,8 +14,8 @@ computation in this package.
 ``LaurentPoly(ring, terms)`` validates its input: no floats, the ring's
 arity, nonnegative fiber and parameter exponents, and zero coefficients
 dropped.  Results of operations that are closed on valid polynomials (``+``,
-unary ``-``, ``*``, ``**``, ``substitute``, ``partial``, ``fiber_component``
-and ``truncate_fiber``) are built by ``LaurentPoly._unchecked``, which skips
+unary ``-``, ``*``, ``**``, ``substitute``, ``partial`` and
+``truncate_fiber``) are built by ``LaurentPoly._unchecked``, which skips
 those checks; such a result must already be a dict of ``Fraction``
 coefficients without zeros, keyed by exponent tuples of the right arity.
 """
@@ -296,13 +296,6 @@ class LaurentPoly:
     def fiber_degree(self, exp: Exponent) -> int:
         f = self.ring.fibers
         return sum(exp[1 : 1 + f])
-
-    def fiber_component(self, degree: int) -> "LaurentPoly":
-        """Part of the polynomial with total fiber degree exactly ``degree``."""
-        return LaurentPoly._unchecked(
-            self.ring,
-            {e: c for e, c in self.terms.items() if self.fiber_degree(e) == degree},
-        )
 
     def truncate_fiber(self, cutoff: int) -> "LaurentPoly":
         return LaurentPoly._unchecked(

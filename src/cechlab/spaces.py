@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import QMatrix, nullspace
+from .linalg import nullspace
 from .ring import InputError, LaurentPoly, RingSig, U_FRAME, V_FRAME
 
 
@@ -187,7 +187,7 @@ def grading_lattice(space: TwoChartSpace) -> List[GradingVector]:
     if not constraints:
         basis = [[Fraction(int(i == j)) for j in range(nv)] for i in range(nv)]
     else:
-        basis = nullspace(QMatrix(constraints))
+        basis = nullspace(constraints)
     out = []
     for vec in basis:
         mult = lcm(*(x.denominator for x in vec))

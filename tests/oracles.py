@@ -3,7 +3,8 @@
 These deliberately avoid the engine's slicing machinery: plain window
 enumeration, dict-based Gaussian elimination over Fraction, and global
 section counting for splitting types.  ``FractionSpan`` is the rational
-reference for the integer-row ``IncrementalSpan``,
+reference for the integer-row ``IncrementalSpan``, ``plain_rank`` the
+dense row-reduction reference for the ``cechlab.linalg`` kernels,
 ``poly_slice_generators`` the polynomial reference for the closed-form
 ``_ExactModel.slice_generators``, and ``brute_v_generators`` the
 term-by-term reference for the degree-pruned ``_BoxModel.v_generators``.
@@ -13,7 +14,6 @@ from fractions import Fraction
 from itertools import product
 
 from cechlab.cech import DegreeBox
-from cechlab.linalg import QMatrix, solve
 from cechlab.ring import LaurentPoly
 
 
@@ -83,26 +83,48 @@ class FractionSpan:
         return len(self._rows)
 
 
+def plain_rank(rows):
+    """Rank of a list of rows by plain ``Fraction`` Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, nrows):
+            if rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                for j in range(c, ncols):
+                    rows[i][j] -= f * rows[r][j]
+        r += 1
+    return r
+
+
 def poly_slice_generators(model, chi):
     """Reference for ``_ExactModel.slice_generators``: each V generator is
     built as the product Minv[c][c'] * z^-m * prod_i (v_i o forward)^beta_i
-    of ``LaurentPoly`` values, with beta = G^-1 * target in ``Fraction``
-    arithmetic and G^-1 solved afresh from the forward map."""
+    of ``LaurentPoly`` values, with beta the decomposition of the target
+    over the columns of G (the fiber weights of the v-images) in a
+    ``FractionSpan``."""
     bundle = model.bundle
     nv = model.nv
     f = nv - 1
     ring = bundle.space.uring
     fwd = bundle.space.transition.forward
     v_weights = [next(iter(p.terms))[:nv] for p in fwd]
-    g = QMatrix([[v_weights[1 + i][1 + j] for i in range(f)] for j in range(f)])
-    g_inv = QMatrix([solve(g, [int(i == j) for i in range(f)]) for j in range(f)]).transpose()
+    g = FractionSpan()
+    for i in range(f):
+        g.insert({j: Fraction(v_weights[1 + i][1 + j]) for j in range(f)}, i)
     gens = []
     for c, exp in model.slice_members(chi):
         if exp[0] >= 0:
             gens.append((("U", c, exp), {(c, exp): Fraction(1)}))
     for cp in range(model.r):
         target = tuple(x - d for x, d in zip(chi, model.offsets_v[cp]))
-        beta = g_inv.mul_vec(target[1:])
+        coeffs = g.decompose({j: Fraction(t) for j, t in enumerate(target[1:])})
+        beta = [coeffs.get(i, Fraction(0)) for i in range(f)]
         if any(b.denominator != 1 or b < 0 for b in beta):
             continue
         beta = [int(b) for b in beta]

@@ -163,6 +163,8 @@ def test_bad_degree_box_is_a_usage_error(capsys, argv):
         ("h1 Z2@t1=1/0 --bundle O(-2)", None),  # zero denominator
         ("split-type --matrix z,1;1", None),  # ragged matrix
         ("probe-affine Z2@t1=1 --degrees=x", None),
+        ("probe-affine W2 --degrees ''", None),  # probes no degree
+        ("probe-affine W2 --degrees ,", None),
         ("deform Z2 --set t5=1", None),  # the Z2 family has only t1
         ("h1 Z2@t5=1", None),
         ("h1 W3@t3=1", None),  # the W3 family has t1 and t2

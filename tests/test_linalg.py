@@ -7,43 +7,52 @@ from hypothesis import given, strategies as st
 from cechlab.linalg import (
     IncrementalSpan,
     NoSolution,
-    QMatrix,
     cokernel_basis,
     nullspace,
     rank,
     solve,
 )
-from oracles import FractionSpan
+from oracles import FractionSpan, plain_rank
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+# small entries make dependent rows and columns common
+entry = st.one_of(frac, st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]))
 
 
 @st.composite
 def matrices(draw, max_dim=5):
     rows = draw(st.integers(1, max_dim))
     cols = draw(st.integers(1, max_dim))
-    return QMatrix(
-        [[draw(frac) for _ in range(cols)] for _ in range(rows)]
-    )
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def mul(m, vec):
+    return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in m]
+
+
+def dependent_columns(m):
+    """Columns that lie in the span of the columns before them."""
+    ncols = len(m[0])
+    return [j for j in range(ncols)
+            if plain_rank([row[: j + 1] for row in m]) == plain_rank([row[:j] for row in m])]
 
 
 def test_rank_identity():
-    assert rank(QMatrix.identity(5)) == 5
+    assert rank([[Fraction(int(i == j)) for j in range(5)] for i in range(5)]) == 5
 
 
 def test_solve_simple():
-    assert solve(QMatrix([[Fraction(2)]]), [Fraction(1)]) == [Fraction(1, 2)]
+    assert solve([[Fraction(2)]], [Fraction(1)]) == [Fraction(1, 2)]
 
 
 def test_solve_inconsistent():
     with pytest.raises(NoSolution):
-        solve(QMatrix([[1], [1]]), [Fraction(1), Fraction(2)])
+        solve([[1], [1]], [Fraction(1), Fraction(2)])
 
 
 def test_cokernel_example():
     # column span of (1,1,0) inside Q^3: complement {e2, e3}
-    m = QMatrix([[1], [1], [0]])
-    basis = cokernel_basis(m)
+    basis = cokernel_basis([[1], [1], [0]])
     assert basis == [
         [Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1)],
@@ -52,8 +61,8 @@ def test_cokernel_example():
 
 @given(matrices())
 def test_rank_nullity(m):
-    assert rank(m) + len(cokernel_basis(m)) == m.nrows
-    assert rank(m) + len(nullspace(m)) == m.ncols
+    assert rank(m) + len(cokernel_basis(m)) == len(m)
+    assert rank(m) + len(nullspace(m)) == len(m[0])
 
 
 @given(matrices())
@@ -61,40 +70,64 @@ def test_solve_remultiplies(m):
     import random
 
     rng = random.Random(11)
-    x = [Fraction(rng.randint(-3, 3)) for _ in range(m.ncols)]
-    b = m.mul_vec(x)
+    x = [Fraction(rng.randint(-3, 3)) for _ in range(len(m[0]))]
+    b = mul(m, x)
     y = solve(m, b)
-    assert m.mul_vec(y) == b
+    assert mul(m, y) == b
 
 
 @given(matrices())
 def test_rank_matches_plain_gauss(m):
-    # independent oracle: plain fraction Gaussian elimination
-    rows = [list(r) for r in m.rows]
-    r = 0
-    for c in range(m.ncols):
-        piv = None
-        for i in range(r, m.nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m.nrows):
-            if rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                for j in range(c, m.ncols):
-                    rows[i][j] -= f * rows[r][j]
-        r += 1
-    assert rank(m) == r
+    assert rank(m) == plain_rank(m)
 
 
 def test_nullspace_kernel_property():
-    m = QMatrix([[1, 2, 3], [2, 4, 6]])
+    m = [[1, 2, 3], [2, 4, 6]]
     for v in nullspace(m):
-        assert m.mul_vec(v) == [Fraction(0)] * m.nrows
-    assert len(nullspace(m)) == 2
+        assert mul(m, v) == [Fraction(0)] * len(m)
+    assert nullspace(m) == [
+        [Fraction(-2), Fraction(1), Fraction(0)],
+        [Fraction(-3), Fraction(0), Fraction(1)],
+    ]
+
+
+@given(matrices())
+def test_nullspace_is_canonical(m):
+    """One kernel vector per dependent column j, in column order: 1 at j, 0
+    at every other dependent column and at every column after j."""
+    dependent = dependent_columns(m)
+    basis = nullspace(m)
+    assert len(basis) == len(dependent)
+    for j, v in zip(dependent, basis):
+        assert all(type(x) is Fraction for x in v)
+        assert v[j] == 1
+        assert all(v[d] == 0 for d in dependent if d != j)
+        assert all(x == 0 for x in v[j + 1:])
+        assert mul(m, v) == [0] * len(m)
+
+
+@given(matrices(), st.lists(frac, min_size=5, max_size=5), st.booleans())
+def test_solve_is_zero_at_dependent_columns(m, values, consistent):
+    if consistent:
+        b = mul(m, values[: len(m[0])])
+    else:
+        b = values[: len(m)]
+    if plain_rank([row + [x] for row, x in zip(m, b)]) > plain_rank(m):
+        with pytest.raises(NoSolution):
+            solve(m, b)
+        return
+    x = solve(m, b)
+    assert all(type(y) is Fraction for y in x)
+    assert mul(m, x) == b
+    assert all(x[j] == 0 for j in dependent_columns(m))
+
+
+@given(matrices())
+def test_cokernel_basis_marks_dependent_rows(m):
+    n = len(m)
+    dependent = [i for i in range(n) if plain_rank(m[: i + 1]) == plain_rank(m[:i])]
+    unit = [[Fraction(int(i == k)) for k in range(n)] for i in dependent]
+    assert cokernel_basis(m) == unit
 
 
 def test_incremental_span_witness():

@@ -226,7 +226,7 @@ def _assert_valid(p):
 @given(polys(), polys(), st.integers(0, 3), coeffs)
 def test_unchecked_results_are_valid(a, b, n, c):
     for p in (a + b, a - b, -a, a * b, a * c, a ** n, a.partial(0), a.partial(1),
-              a.fiber_component(n), a.truncate_fiber(n)):
+              a.truncate_fiber(n)):
         _assert_valid(p)
     assert not (a + (-a)).terms and not (a * 0).terms
     _assert_valid(a.substitute(_w3_images(), V2))

@@ -14,6 +14,7 @@ from cechlab.spaces import (
     validate_transition,
 )
 from cechlab.bundles import tangent_bundle, mat_det
+from cechlab.cli import parse_space
 from cechlab.deform import build_family
 
 
@@ -88,6 +89,22 @@ def test_grading_ranks():
     assert len(grading_lattice(make_standard_space("W", 2))) == 3
     assert len(grading_lattice(_deformed_w2())) == 2
     assert len(grading_lattice(_deformed_z2())) == 1
+
+
+@pytest.mark.parametrize(
+    "name, weights",
+    [
+        ("W2", [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        ("W2@t1=1", [(1, -1, 0), (1, 0, 1)]),
+        ("W2@t0=1", [(1, -1, 0), (0, 0, 1)]),
+        ("W3@t1=1,t2=2", [(0, 0, 1)]),
+        ("Z2@t1=1", [(1, -1)]),
+        ("Z4@t1=1", [(1, -3)]),
+    ],
+)
+def test_grading_lattice_vectors(name, weights):
+    # the exact basis, in order: the box tier's bucket keys follow it
+    assert [g.weights for g in grading_lattice(parse_space(name))] == weights
 
 
 def test_grading_annihilates_transition_monomials():
